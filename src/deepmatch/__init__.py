@@ -15,7 +15,6 @@ from .data import (
     gen_swiss_roll,
     load_csv,
     save_csv,
-    subset,
     train_test_split,
 )
 from .embedding import (
@@ -23,7 +22,6 @@ from .embedding import (
     fit_identity,
     fit_lle,
     fit_pca,
-    kmeans,
     lle_weight_matrix,
     load_embedder,
     save_embedder,
@@ -75,7 +73,6 @@ from .propensity import (
     balance_report,
     build_propensity_net,
     holdout_accuracy,
-    kfold_indices,
     load_propensity_model,
     log_odds,
     save_propensity_model,
@@ -121,8 +118,6 @@ __all__ = [
     "holdout_accuracy",
     "init_network",
     "ite_error",
-    "kfold_indices",
-    "kmeans",
     "lle_weight_matrix",
     "load_csv",
     "load_embedder",
@@ -144,7 +139,6 @@ __all__ = [
     "save_model",
     "save_propensity_model",
     "silhouette",
-    "subset",
     "threshold_labels",
     "train",
     "train_test_split",

@@ -15,16 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import (
-    ConfigError,
-    StageError,
-    parse_gradcheck,
-    parse_propensity,
-    parse_swissroll,
-    run_gradcheck,
-    run_propensity,
-    run_swissroll,
-)
+from .experiments import EXPERIMENTS, ConfigError, StageError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -40,9 +31,18 @@ def _load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from None
+
+
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config: duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,13 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         "matching on the swiss roll and propensity-score matching on jittered pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "swissroll": "embed, match and score ITE recovery per method",
-        "propensity": "score, match and compare logistic vs the dense classifier",
-        "gradcheck": "finite-difference audit of the network gradients",
-    }
-    for name, desc in descriptions.items():
-        s = sub.add_parser(name, help=desc, description=desc)
+    for exp in EXPERIMENTS.values():
+        s = sub.add_parser(exp.name, help=exp.description, description=exp.description)
         s.add_argument("--config", metavar="FILE", default=None,
                        help="JSON config; omit to run the documented defaults")
         s.add_argument("--out", metavar="DIR", required=True, help="output directory")
@@ -75,44 +70,20 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    exp = EXPERIMENTS[args.command]
     try:
-        doc = _load_config(args.config)
-        if args.command == "swissroll":
-            cfg = parse_swissroll(doc, seed_override=args.seed)
-            reports = run_swissroll(cfg, args.out, force=args.force)
-            for r in reports:
-                print(
-                    f"swissroll seed={r.seed} {r.method}: "
-                    f"mean_abs_ite_error={r.mean_abs_ite_error:.6g} "
-                    f"ate_error={r.ate_error:.6g} n_test={r.n_test}"
-                )
-        elif args.command == "propensity":
-            cfg = parse_propensity(doc, seed_override=args.seed)
-            reports = run_propensity(cfg, args.out, force=args.force)
-            for r in reports:
-                print(
-                    f"propensity seed={r.seed} {r.method}: "
-                    f"error={r.mean_abs_misassignment_error_pct:.2f}% "
-                    f"rate={r.misassignment_rate_pct:.2f}% "
-                    f"accuracy={r.accuracy_pct:.2f}%"
-                )
-        else:
-            cfg = parse_gradcheck(doc, seed_override=args.seed)
-            results, all_pass = run_gradcheck(cfg, args.out, force=args.force)
-            worst = max(r["max_relative_error"] for r in results)
-            n_ok = sum(1 for r in results if r["pass"])
-            print(
-                f"gradcheck seed={cfg.seed}: {n_ok}/{len(results)} cases passed "
-                f"(worst {worst:.3g}, tolerance {cfg.tolerance:g})"
-            )
-            if not all_pass:
-                print("gradcheck failed", file=sys.stderr)
-                return EXIT_NUMERIC
+        cfg = exp.parse(_load_config(args.config), seed_override=args.seed)
+        lines, passed = exp.summary(cfg, exp.run(cfg, args.out, force=args.force))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    for line in lines:
+        print(line)
+    if not passed:
+        print(f"{exp.name} failed", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"wrote {args.out}")
     return EXIT_OK

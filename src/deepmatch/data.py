@@ -382,13 +382,3 @@ def train_test_split(n: int, test_fraction: float, seed: int):
         raise ValueError(f"test_fraction {test_fraction} leaves no training rows")
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
-
-def subset(ds: ObservationalDataset, idx: np.ndarray) -> ObservationalDataset:
-    """Row-subset of a dataset (pair_index is dropped: it indexes the full set)."""
-    truth = None
-    if ds.truth is not None:
-        t = ds.truth
-        truth = GroundTruth(
-            y0=t.y0[idx], y1=t.y1[idx], ite_true=t.ite_true[idx], group=t.group[idx]
-        )
-    return ObservationalDataset(x=ds.x[idx], w=ds.w[idx], y_obs=ds.y_obs[idx], truth=truth)

@@ -7,9 +7,6 @@ Four ways to map covariates into an m-dimensional space for matching:
 * autoencoder - bottleneck activations of a reconstruction network
 * lle - locally linear embedding, preserving neighbor reconstruction weights
 
-plus a small k-means implementation used to contrast cluster structure in
-the original space against the learned embeddings.
-
 All fitted embedders are immutable, transform deterministically, and persist
 through the shared versioned JSON model format.
 """
@@ -368,82 +365,6 @@ def fit_lle(x: np.ndarray, m: int, k_neighbors: int = 10, reg: float = 1e-3) -> 
     _, vecs = symmetric_eigh(cost)
     embedding = vecs[:, 1 : m + 1]
     return LleEmbedder(train_x=x, embedding=embedding, k_neighbors=k_neighbors, reg=reg)
-
-
-@dataclass(frozen=True)
-class KMeansResult:
-    centroids: np.ndarray
-    labels: np.ndarray
-    inertia: float
-    inertia_history: tuple = ()
-
-    def __post_init__(self):
-        if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= len(self.centroids):
-            raise ValueError("labels must index centroids")
-
-
-def _sq_dists_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """n x k squared Euclidean distances."""
-    out = np.empty((points.shape[0], centers.shape[0]))
-    for j in range(centers.shape[0]):
-        diff = points - centers[j]
-        out[:, j] = (diff * diff).sum(axis=1)
-    return out
-
-
-def kmeans(x: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> KMeansResult:
-    """Lloyd iterations from k-means++ seeding.
-
-    Runs until the label assignment stops changing or max_iter; an empty
-    cluster is re-seeded at the point farthest from its nearest centroid.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected an n x d matrix, got shape {x.shape}")
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
-
-    # k-means++ seeding
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    closest = _sq_dists_to(x, centroids[:1]).min(axis=1)
-    for j in range(1, k):
-        total = closest.sum()
-        if total == 0.0:
-            centroids[j] = x[rng.integers(n)]
-        else:
-            centroids[j] = x[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, _sq_dists_to(x, centroids[j : j + 1]).min(axis=1))
-
-    labels = np.full(n, -1)
-    history = []
-    for _ in range(max_iter):
-        d2 = _sq_dists_to(x, centroids)
-        new_labels = d2.argmin(axis=1)
-        history.append(float(d2.min(axis=1).sum()))
-        for j in range(k):
-            members = x[new_labels == j]
-            if members.shape[0] == 0:
-                far = int(d2.min(axis=1).argmax())
-                centroids[j] = x[far]
-                new_labels[far] = j
-                d2[far] = 0.0  # keep a second empty cluster from reusing this point
-            else:
-                centroids[j] = members.mean(axis=0)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-
-    d2 = _sq_dists_to(x, centroids)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2.min(axis=1).sum())
-    history.append(inertia)
-    return KMeansResult(
-        centroids=centroids, labels=labels, inertia=inertia,
-        inertia_history=tuple(history),
-    )
 
 
 _EMBEDDER_KINDS = ("identity", "pca", "autoencoder", "lle")

@@ -3,16 +3,21 @@
 Each run_* function takes a parsed config and an output directory, executes
 the pipeline stage by stage, and writes reports.json, comparison.csv, the
 plot-data CSVs, and a fully resolved copy of its config. Configs are strict
-JSON: unknown keys are rejected so a typo cannot silently fall back to a
-default, and the resolved file parses back to the identical config.
+JSON, read through one field table per experiment: unknown keys, wrong
+types, non-finite numbers and out-of-bound values are rejected with the path
+of the offending value, so a typo cannot silently fall back to a default,
+and the resolved file parses back to the identical config.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,75 +84,146 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _require_mapping(doc, where: str) -> dict:
-    if doc is None:
-        return {}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _value(kind, v, where: str):
+    """Type-check a raw value: kind is int, float, bool, str, or [item] / [item, length]."""
+    if isinstance(kind, list):
+        item, *length = kind
+        if not isinstance(v, list) or length not in ([], [len(v)]):
+            raise ConfigError(f"{where} must be a list" + "".join(f" of {n} values" for n in length))
+        return tuple(_value(item, e, f"{where}[{i}]") for i, e in enumerate(v))
+    if kind is float:
+        # abs(v) <= max is false for NaN, the infinities and ints too large for a float.
+        ok = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+    else:
+        ok = isinstance(v, kind)
+    if not ok or (isinstance(v, bool) and kind is not bool):
+        raise ConfigError(f"{where} must be {_KIND_NAMES[kind]}, got {v!r}")
+    return float(v) if kind is float else v
+
+
+def _bound(text: str, ok):
+    """A check that `ok` holds for the value, or for each entry of a list value."""
+
+    def check(value, where):
+        for v in value if isinstance(value, tuple) else (value,):
+            if not ok(v):
+                raise ConfigError(f"{where} must be {text}, got {v!r}")
+
+    return check
+
+
+def _at_least(lo):
+    return _bound(f">= {lo}", lambda v: v >= lo)
+
+
+_POSITIVE = _bound("> 0", lambda v: v > 0)
+_OPEN_UNIT = _bound("in (0, 1)", lambda v: 0 < v < 1)
+_ARM = _bound("0 or 1", lambda v: v in (0, 1))
+
+
+def _methods(allowed):
+    def check(names, where):
+        if not names:
+            raise ConfigError(f"{where} must be a non-empty list")
+        for name in names:
+            if name not in allowed:
+                raise ConfigError(f"{where}: unknown method {name!r} (choose from {list(allowed)})")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"{where}: duplicate methods")
+
+    return check
+
+
+class Field(NamedTuple):
+    """One settable config value.
+
+    `path` is its place in the document, "key" or "section.key"; `kind` is
+    its JSON type (see `_value`). `bound` checks the typed value; it is
+    given only where no domain dataclass checks it. `attrs` are the run
+    attributes the value sets (default: the path); "a.b" sets field b of
+    the nested domain dataclass a, whose own checks then apply.
+    """
+
+    path: str
+    kind: object
+    bound: Callable | None = None
+    attrs: tuple = ()
+
+
+def _set(obj, attr: str, value):
+    """`dataclasses.replace` through a dotted attribute path."""
+    head, _, rest = attr.partition(".")
+    return replace(obj, **{head: _set(getattr(obj, head), rest, value) if rest else value})
+
+
+def _require_object(doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
-def _reject_unknown(doc: dict, allowed, where: str) -> None:
-    extra = sorted(set(doc) - set(allowed))
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {extra}")
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment behind the CLI: its config table, pipeline and summary.
 
+    `defaults` is the run dataclass, whose field defaults are the config
+    defaults. `run(cfg, out_dir, force)` executes the pipeline and
+    `summary(cfg, result)` returns the report lines and whether it passed.
+    """
 
-def _get_int(doc, key, default, where, minimum=None):
-    v = doc.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {v}")
-    return v
+    name: str
+    description: str
+    defaults: type
+    fields: tuple
+    run: Callable
+    summary: Callable
 
+    def parse(self, doc, seed_override: int | None = None):
+        """Validate a config document; absent keys keep their defaults."""
+        doc = _require_object(doc, "config")
+        for key, expected in (("version", CONFIG_VERSION), ("experiment", self.name)):
+            if doc.get(key, expected) != expected:
+                raise ConfigError(f"config.{key} must be {expected!r}, got {doc[key]!r}")
+        if seed_override is not None:
+            doc = {**doc, "seed": seed_override}
+        sections = {f.path.partition(".")[0] for f in self.fields if "." in f.path}
+        flat = {}
+        for key, value in doc.items():
+            if key in sections:
+                for sub, v in _require_object(value, f"config.{key}").items():
+                    flat[f"{key}.{sub}"] = v
+            elif key not in ("version", "experiment"):
+                flat[key] = value
+        unknown = sorted(set(flat) - {f.path for f in self.fields})
+        if unknown:
+            raise ConfigError(f"config.{unknown[0]}: unknown key")
+        cfg = self.defaults()
+        for f in self.fields:
+            if f.path not in flat:
+                continue
+            where = f"config.{f.path}"
+            value = _value(f.kind, flat[f.path], where)
+            if f.bound is not None:
+                f.bound(value, where)
+            try:
+                for attr in f.attrs or (f.path,):
+                    cfg = _set(cfg, attr, value)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+        return cfg
 
-def _get_float(doc, key, default, where):
-    v = doc.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def _get_bool(doc, key, default, where):
-    v = doc.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {v!r}")
-    return v
-
-
-def _get_methods(doc, key, default, where, allowed):
-    v = doc.get(key, list(default))
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{where}.{key} must be a non-empty list")
-    for name in v:
-        if name not in allowed:
-            raise ConfigError(f"{where}.{key}: unknown method {name!r} (choose from {list(allowed)})")
-    if len(set(v)) != len(v):
-        raise ConfigError(f"{where}.{key}: duplicate methods")
-    return tuple(v)
-
-
-def _get_number_list(doc, key, default, where, length):
-    v = doc.get(key, list(default))
-    if (
-        not isinstance(v, list)
-        or len(v) != length
-        or any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in v)
-    ):
-        raise ConfigError(f"{where}.{key} must be a list of {length} numbers")
-    return tuple(float(e) for e in v)
-
-
-def _check_header(doc: dict, experiment: str) -> None:
-    version = doc.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")
-    declared = doc.get("experiment", experiment)
-    if declared != experiment:
-        raise ConfigError(
-            f"config declares experiment {declared!r} but was given to the {experiment!r} runner"
-        )
+    def resolve(self, cfg) -> dict:
+        """The complete config document of `cfg`; parse(resolve(cfg)) == cfg."""
+        doc = {"version": CONFIG_VERSION, "experiment": self.name}
+        for f in self.fields:
+            head, _, key = f.path.rpartition(".")
+            value = attrgetter((f.attrs or (f.path,))[0])(cfg)
+            section = doc.setdefault(head, {}) if head else doc
+            section[key] = list(value) if isinstance(value, tuple) else value
+        return doc
 
 
 @dataclass(frozen=True)
@@ -166,102 +242,26 @@ class SwissRollRun:
     lle_reg: float = 1e-3
 
 
-def parse_swissroll(doc, seed_override: int | None = None) -> SwissRollRun:
-    doc = _require_mapping(doc, "config")
-    _check_header(doc, "swissroll")
-    _reject_unknown(
-        doc,
-        (
-            "version",
-            "experiment",
-            "seed",
-            "dataset",
-            "methods",
-            "test_fraction",
-            "k_matches",
-            "embed_dim",
-            "twin_mode",
-            "autoencoder",
-            "lle",
-        ),
-        "config",
-    )
-    seed = _get_int(doc, "seed", 0, "config")
-    if seed_override is not None:
-        seed = seed_override
-
-    dataset = _require_mapping(doc.get("dataset"), "config.dataset")
-    _reject_unknown(
-        dataset,
-        ("n", "noise_sigma", "coeff_control", "coeff_treated", "outcome_noise_sigma", "p_treat"),
-        "config.dataset",
-    )
-    ds_cfg = SwissRollConfig(
-        n=_get_int(dataset, "n", 1500, "config.dataset", minimum=1),
-        noise_sigma=_get_float(dataset, "noise_sigma", 0.05, "config.dataset"),
-        coeff_control=_get_number_list(dataset, "coeff_control", (1.0, 1.0, 1.0), "config.dataset", 3),
-        coeff_treated=_get_number_list(dataset, "coeff_treated", (2.0, 1.0, 1.0), "config.dataset", 3),
-        outcome_noise_sigma=_get_float(dataset, "outcome_noise_sigma", 0.0, "config.dataset"),
-        p_treat=_get_float(dataset, "p_treat", 0.5, "config.dataset"),
-        seed=seed,
-    )
-
-    ae = _require_mapping(doc.get("autoencoder"), "config.autoencoder")
-    _reject_unknown(ae, ("epochs", "batch_size", "hidden"), "config.autoencoder")
-    hidden = ae.get("hidden", [])
-    if not isinstance(hidden, list) or any(
-        isinstance(h, bool) or not isinstance(h, int) or h < 1 for h in hidden
-    ):
-        raise ConfigError("config.autoencoder.hidden must be a list of positive integers")
-
-    lle = _require_mapping(doc.get("lle"), "config.lle")
-    _reject_unknown(lle, ("k_neighbors", "reg"), "config.lle")
-
-    test_fraction = _get_float(doc, "test_fraction", 0.2, "config")
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"config.test_fraction must be in (0,1), got {test_fraction}")
-
-    return SwissRollRun(
-        seed=seed,
-        dataset=ds_cfg,
-        methods=_get_methods(doc, "methods", SWISSROLL_METHODS, "config", SWISSROLL_METHODS),
-        test_fraction=test_fraction,
-        k_matches=_get_int(doc, "k_matches", 1, "config", minimum=1),
-        embed_dim=_get_int(doc, "embed_dim", 2, "config", minimum=1),
-        twin_mode=_get_bool(doc, "twin_mode", False, "config"),
-        ae_epochs=_get_int(ae, "epochs", 400, "config.autoencoder", minimum=1),
-        ae_batch_size=_get_int(ae, "batch_size", 32, "config.autoencoder", minimum=1),
-        ae_hidden=tuple(hidden),
-        lle_neighbors=_get_int(lle, "k_neighbors", 10, "config.lle", minimum=1),
-        lle_reg=_get_float(lle, "reg", 1e-3, "config.lle"),
-    )
-
-
-def resolved_swissroll(cfg: SwissRollRun) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "experiment": "swissroll",
-        "seed": cfg.seed,
-        "dataset": {
-            "n": cfg.dataset.n,
-            "noise_sigma": cfg.dataset.noise_sigma,
-            "coeff_control": list(cfg.dataset.coeff_control),
-            "coeff_treated": list(cfg.dataset.coeff_treated),
-            "outcome_noise_sigma": cfg.dataset.outcome_noise_sigma,
-            "p_treat": cfg.dataset.p_treat,
-        },
-        "methods": list(cfg.methods),
-        "test_fraction": cfg.test_fraction,
-        "k_matches": cfg.k_matches,
-        "embed_dim": cfg.embed_dim,
-        "twin_mode": cfg.twin_mode,
-        "autoencoder": {
-            "epochs": cfg.ae_epochs,
-            "batch_size": cfg.ae_batch_size,
-            "hidden": list(cfg.ae_hidden),
-        },
-        "lle": {"k_neighbors": cfg.lle_neighbors, "reg": cfg.lle_reg},
-    }
+SWISSROLL_FIELDS = (
+    Field("seed", int, _at_least(0), ("seed", "dataset.seed")),
+    # Bounded by SwissRollConfig.
+    Field("dataset.n", int),
+    Field("dataset.noise_sigma", float),
+    Field("dataset.coeff_control", [float, 3]),
+    Field("dataset.coeff_treated", [float, 3]),
+    Field("dataset.outcome_noise_sigma", float),
+    Field("dataset.p_treat", float),
+    Field("methods", [str], _methods(SWISSROLL_METHODS)),
+    Field("test_fraction", float, _OPEN_UNIT),
+    Field("k_matches", int, _at_least(1)),
+    Field("embed_dim", int, _at_least(1)),
+    Field("twin_mode", bool),
+    Field("autoencoder.epochs", int, _at_least(1), ("ae_epochs",)),
+    Field("autoencoder.batch_size", int, _at_least(1), ("ae_batch_size",)),
+    Field("autoencoder.hidden", [int], _at_least(1), ("ae_hidden",)),
+    Field("lle.k_neighbors", int, _at_least(1), ("lle_neighbors",)),
+    Field("lle.reg", float, _POSITIVE, ("lle_reg",)),
+)
 
 
 @dataclass(frozen=True)
@@ -270,95 +270,28 @@ class PropensityRun:
     n_pairs: int = 1000
     jitter_sigma: float = 0.02
     methods: tuple = PROPENSITY_METHODS
-    test_fraction: float = 0.2
     include_outcome: bool = False
     query_arm: int = 1
     threshold: float = 0.5
-    net_epochs: int = 2
-    net_batch_size: int = 128
-    logistic_l2: float = 0.0
-    logistic_max_iter: int = 10_000
-    logistic_grad_tol: float = 1e-8
+    fit: PropensityFitConfig = PropensityFitConfig(epochs=2, batch_size=128)
 
 
-def parse_propensity(doc, seed_override: int | None = None) -> PropensityRun:
-    doc = _require_mapping(doc, "config")
-    _check_header(doc, "propensity")
-    _reject_unknown(
-        doc,
-        (
-            "version",
-            "experiment",
-            "seed",
-            "dataset",
-            "methods",
-            "test_fraction",
-            "include_outcome",
-            "query_arm",
-            "threshold",
-            "net",
-            "logistic",
-        ),
-        "config",
-    )
-    seed = _get_int(doc, "seed", 0, "config")
-    if seed_override is not None:
-        seed = seed_override
-
-    dataset = _require_mapping(doc.get("dataset"), "config.dataset")
-    _reject_unknown(dataset, ("n_pairs", "jitter_sigma"), "config.dataset")
-
-    net = _require_mapping(doc.get("net"), "config.net")
-    _reject_unknown(net, ("epochs", "batch_size"), "config.net")
-
-    logistic = _require_mapping(doc.get("logistic"), "config.logistic")
-    _reject_unknown(logistic, ("l2", "max_iter", "grad_tol"), "config.logistic")
-
-    test_fraction = _get_float(doc, "test_fraction", 0.2, "config")
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"config.test_fraction must be in (0,1), got {test_fraction}")
-    query_arm = _get_int(doc, "query_arm", 1, "config")
-    if query_arm not in (0, 1):
-        raise ConfigError(f"config.query_arm must be 0 or 1, got {query_arm}")
-    threshold = _get_float(doc, "threshold", 0.5, "config")
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"config.threshold must be in (0,1), got {threshold}")
-
-    return PropensityRun(
-        seed=seed,
-        n_pairs=_get_int(dataset, "n_pairs", 1000, "config.dataset", minimum=2),
-        jitter_sigma=_get_float(dataset, "jitter_sigma", 0.02, "config.dataset"),
-        methods=_get_methods(doc, "methods", PROPENSITY_METHODS, "config", PROPENSITY_METHODS),
-        test_fraction=test_fraction,
-        include_outcome=_get_bool(doc, "include_outcome", False, "config"),
-        query_arm=query_arm,
-        threshold=threshold,
-        net_epochs=_get_int(net, "epochs", 2, "config.net", minimum=1),
-        net_batch_size=_get_int(net, "batch_size", 128, "config.net", minimum=1),
-        logistic_l2=_get_float(logistic, "l2", 0.0, "config.logistic"),
-        logistic_max_iter=_get_int(logistic, "max_iter", 10_000, "config.logistic", minimum=1),
-        logistic_grad_tol=_get_float(logistic, "grad_tol", 1e-8, "config.logistic"),
-    )
-
-
-def resolved_propensity(cfg: PropensityRun) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "experiment": "propensity",
-        "seed": cfg.seed,
-        "dataset": {"n_pairs": cfg.n_pairs, "jitter_sigma": cfg.jitter_sigma},
-        "methods": list(cfg.methods),
-        "test_fraction": cfg.test_fraction,
-        "include_outcome": cfg.include_outcome,
-        "query_arm": cfg.query_arm,
-        "threshold": cfg.threshold,
-        "net": {"epochs": cfg.net_epochs, "batch_size": cfg.net_batch_size},
-        "logistic": {
-            "l2": cfg.logistic_l2,
-            "max_iter": cfg.logistic_max_iter,
-            "grad_tol": cfg.logistic_grad_tol,
-        },
-    }
+PROPENSITY_FIELDS = (
+    Field("seed", int, _at_least(0), ("seed", "fit.seed")),
+    Field("dataset.n_pairs", int, _at_least(2), ("n_pairs",)),
+    Field("dataset.jitter_sigma", float, _POSITIVE, ("jitter_sigma",)),
+    Field("methods", [str], _methods(PROPENSITY_METHODS)),
+    # Bounded by PropensityFitConfig, as is logistic.l2.
+    Field("test_fraction", float, attrs=("fit.test_fraction",)),
+    Field("include_outcome", bool),
+    Field("query_arm", int, _ARM),
+    Field("threshold", float, _OPEN_UNIT),
+    Field("net.epochs", int, _at_least(1), ("fit.epochs",)),
+    Field("net.batch_size", int, _at_least(1), ("fit.batch_size",)),
+    Field("logistic.l2", float, attrs=("fit.l2",)),
+    Field("logistic.max_iter", int, _at_least(1), ("fit.max_iter",)),
+    Field("logistic.grad_tol", float, _POSITIVE, ("fit.grad_tol",)),
+)
 
 
 @dataclass(frozen=True)
@@ -370,40 +303,13 @@ class GradcheckRun:
     corrupt: bool = False
 
 
-def parse_gradcheck(doc, seed_override: int | None = None) -> GradcheckRun:
-    doc = _require_mapping(doc, "config")
-    _check_header(doc, "gradcheck")
-    _reject_unknown(
-        doc, ("version", "experiment", "seed", "count", "step", "tolerance", "corrupt"), "config"
-    )
-    seed = _get_int(doc, "seed", 0, "config")
-    if seed_override is not None:
-        seed = seed_override
-    step = _get_float(doc, "step", 1e-5, "config")
-    if step <= 0:
-        raise ConfigError(f"config.step must be > 0, got {step}")
-    tolerance = _get_float(doc, "tolerance", 1e-4, "config")
-    if tolerance <= 0:
-        raise ConfigError(f"config.tolerance must be > 0, got {tolerance}")
-    return GradcheckRun(
-        seed=seed,
-        count=_get_int(doc, "count", 24, "config", minimum=1),
-        step=step,
-        tolerance=tolerance,
-        corrupt=_get_bool(doc, "corrupt", False, "config"),
-    )
-
-
-def resolved_gradcheck(cfg: GradcheckRun) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "experiment": "gradcheck",
-        "seed": cfg.seed,
-        "count": cfg.count,
-        "step": cfg.step,
-        "tolerance": cfg.tolerance,
-        "corrupt": cfg.corrupt,
-    }
+GRADCHECK_FIELDS = (
+    Field("seed", int, _at_least(0)),
+    Field("count", int, _at_least(1)),
+    Field("step", float, _POSITIVE),
+    Field("tolerance", float, _POSITIVE),
+    Field("corrupt", bool),
+)
 
 
 def prepare_out_dir(out_dir, force: bool = False) -> Path:
@@ -434,6 +340,14 @@ def _csv_cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _write_results(out: Path, name: str, cfg, reports: dict, header, rows) -> None:
+    """The files every experiment writes: reports.json (`reports` plus the
+    experiment name and seed), comparison.csv and resolved_config.json."""
+    _write_json(out / "reports.json", {"experiment": name, "seed": cfg.seed, **reports})
+    _write_csv(out / "comparison.csv", header, rows)
+    _write_json(out / "resolved_config.json", EXPERIMENTS[name].resolve(cfg))
 
 
 def _fit_embedder(method: str, x_train: np.ndarray, cfg: SwissRollRun):
@@ -508,23 +422,19 @@ def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
             _write_csv(out / f"embedding_{method}.csv", header, rows)
 
     with _stage("write"):
-        _write_json(
-            out / "reports.json",
+        _write_results(
+            out,
+            "swissroll",
+            cfg,
             {
-                "experiment": "swissroll",
-                "seed": cfg.seed,
                 "reports": [report_to_dict(r) for r in reports],
             },
-        )
-        _write_csv(
-            out / "comparison.csv",
             ["method", "mean_abs_ite_error", "ate_error", "n_test", "seed"],
             [
                 [r.method, r.mean_abs_ite_error, r.ate_error, r.n_test, r.seed]
                 for r in reports
             ],
         )
-        _write_json(out / "resolved_config.json", resolved_swissroll(cfg))
     return reports
 
 
@@ -539,20 +449,10 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
         else:
             features = ds.x
 
-    fit_cfg = PropensityFitConfig(
-        test_fraction=cfg.test_fraction,
-        seed=cfg.seed,
-        epochs=cfg.net_epochs,
-        batch_size=cfg.net_batch_size,
-        l2=cfg.logistic_l2,
-        max_iter=cfg.logistic_max_iter,
-        grad_tol=cfg.logistic_grad_tol,
-    )
-
     reports = []
     for method in cfg.methods:
         with _stage(f"fit:{method}"):
-            fit_result = fit_propensity(method, features, ds.w, fit_cfg)
+            fit_result = fit_propensity(method, features, ds.w, cfg.fit)
         with _stage(f"score:{method}"):
             scores = fit_result.model.predict(features)
         with _stage(f"match:{method}"):
@@ -594,20 +494,17 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
             )
 
     with _stage("write"):
-        _write_json(
-            out / "reports.json",
+        _write_results(
+            out,
+            "propensity",
+            cfg,
             {
-                "experiment": "propensity",
-                "seed": cfg.seed,
                 "reports": [report_to_dict(r) for r in reports],
                 "reference": {
                     name: dict(zip(PROPENSITY_TABLE_COLUMNS, values))
                     for name, values in REFERENCE_MISASSIGNMENT.items()
                 },
             },
-        )
-        _write_csv(
-            out / "comparison.csv",
             ["method", *PROPENSITY_TABLE_COLUMNS],
             [
                 [
@@ -619,7 +516,6 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
                 for r in reports
             ],
         )
-        _write_json(out / "resolved_config.json", resolved_propensity(cfg))
     return reports
 
 
@@ -645,20 +541,65 @@ def run_gradcheck(cfg: GradcheckRun, out_dir, force: bool = False):
             )
     all_pass = all(r["pass"] for r in results)
     with _stage("write"):
-        _write_json(
-            out / "reports.json",
+        _write_results(
+            out,
+            "gradcheck",
+            cfg,
             {
-                "experiment": "gradcheck",
-                "seed": cfg.seed,
                 "tolerance": cfg.tolerance,
                 "all_pass": all_pass,
                 "cases": results,
             },
-        )
-        _write_csv(
-            out / "comparison.csv",
             ["name", "max_relative_error", "pass"],
             [[r["name"], r["max_relative_error"], r["pass"]] for r in results],
         )
-        _write_json(out / "resolved_config.json", resolved_gradcheck(cfg))
     return results, all_pass
+
+
+def _report_lines(template: str):
+    """A summary of one line per report record, formatted from its fields."""
+    return lambda cfg, reports: ([template.format(**report_to_dict(r)) for r in reports], True)
+
+
+def _gradcheck_summary(cfg: GradcheckRun, result):
+    results, all_pass = result
+    worst = max(r["max_relative_error"] for r in results)
+    n_ok = sum(1 for r in results if r["pass"])
+    return [
+        f"gradcheck seed={cfg.seed}: {n_ok}/{len(results)} cases passed "
+        f"(worst {worst:.3g}, tolerance {cfg.tolerance:g})"
+    ], all_pass
+
+
+EXPERIMENTS = {
+    e.name: e
+    for e in (
+        Experiment(
+            "swissroll", "embed, match and score ITE recovery per method",
+            SwissRollRun, SWISSROLL_FIELDS, run_swissroll,
+            _report_lines(
+                "swissroll seed={seed} {method}: mean_abs_ite_error={mean_abs_ite_error:.6g} "
+                "ate_error={ate_error:.6g} n_test={n_test}"
+            ),
+        ),
+        Experiment(
+            "propensity", "score, match and compare logistic vs the dense classifier",
+            PropensityRun, PROPENSITY_FIELDS, run_propensity,
+            _report_lines(
+                "propensity seed={seed} {method}: error={mean_abs_misassignment_error_pct:.2f}% "
+                "rate={misassignment_rate_pct:.2f}% accuracy={accuracy_pct:.2f}%"
+            ),
+        ),
+        Experiment(
+            "gradcheck", "finite-difference audit of the network gradients",
+            GradcheckRun, GRADCHECK_FIELDS, run_gradcheck, _gradcheck_summary,
+        ),
+    )
+}
+
+parse_swissroll = EXPERIMENTS["swissroll"].parse
+resolved_swissroll = EXPERIMENTS["swissroll"].resolve
+parse_propensity = EXPERIMENTS["propensity"].parse
+resolved_propensity = EXPERIMENTS["propensity"].resolve
+parse_gradcheck = EXPERIMENTS["gradcheck"].parse
+resolved_gradcheck = EXPERIMENTS["gradcheck"].resolve

@@ -64,14 +64,6 @@ def report_to_dict(report) -> dict:
     return asdict(report)
 
 
-def effect_report_from_dict(doc: dict) -> EffectReport:
-    return EffectReport(**doc)
-
-
-def propensity_report_from_dict(doc: dict) -> PropensityReport:
-    return PropensityReport(**doc)
-
-
 def ite_error(
     est: EffectEstimate,
     truth: GroundTruth,

@@ -39,24 +39,6 @@ def log_odds(scores: np.ndarray) -> np.ndarray:
     return np.log(p / (1.0 - p))
 
 
-def kfold_indices(n: int, n_folds: int, seed: int) -> list:
-    """Seeded K-fold partition; returns (train, test) sorted index pairs.
-
-    The documented pipelines use a single 80/20 split; this is the K-fold
-    alternative for callers who want cross-validated evaluation.
-    """
-    if n_folds < 2 or n_folds > n:
-        raise ValueError(f"n_folds must be in [2, {n}], got {n_folds}")
-    order = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(order, n_folds)
-    out = []
-    for held in range(n_folds):
-        test = np.sort(folds[held])
-        train = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != held]))
-        out.append((train, test))
-    return out
-
-
 class LogisticDidNotConverge(RuntimeError):
     """Gradient descent hit the iteration cap before the gradient tolerance."""
 

@@ -13,7 +13,6 @@ from deepmatch.data import (
     load_csv,
     roll_surface,
     save_csv,
-    subset,
     train_test_split,
 )
 from oracles import knn_scan
@@ -333,9 +332,3 @@ class TestSplits:
         with pytest.raises(ValueError, match="test_fraction"):
             train_test_split(10, 1.0, seed=0)
 
-    def test_subset_keeps_invariants(self):
-        ds = gen_swiss_roll(SwissRollConfig(n=60, seed=12))
-        train, test = train_test_split(60, 0.25, seed=2)
-        sub = subset(ds, test)
-        assert sub.n_units == len(test)
-        assert np.array_equal(sub.truth.ite_true, ds.truth.ite_true[test])

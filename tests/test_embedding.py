@@ -1,4 +1,4 @@
-"""Embedder fits, transforms, k-means, and model persistence."""
+"""Embedder fits, transforms, and model persistence."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from deepmatch.embedding import (
     fit_identity,
     fit_lle,
     fit_pca,
-    kmeans,
     lle_weight_matrix,
     load_embedder,
     save_embedder,
@@ -207,80 +206,6 @@ class TestLle:
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
         emb = fit_lle(x, 2, k_neighbors=6, reg=1e-3)
         assert np.all(np.isfinite(emb.embedding))
-
-
-class TestKmeans:
-    def test_two_clouds_match_exhaustive_partition_optimum(self):
-        rng = np.random.default_rng(30)
-        a = rng.normal(loc=0.0, scale=0.3, size=(5, 2))
-        b = rng.normal(loc=5.0, scale=0.3, size=(5, 2))
-        x = np.vstack([a, b])
-        result = kmeans(x, 2, seed=0)
-
-        def partition_inertia(mask):
-            total = 0.0
-            for side in (mask, ~mask):
-                pts = x[side]
-                total += float(((pts - pts.mean(axis=0)) ** 2).sum())
-            return total
-
-        best = None
-        best_mask = None
-        for bits in range(1, 2 ** (len(x) - 1)):
-            mask = np.array([(bits >> i) & 1 == 1 for i in range(len(x))])
-            mask[-1] = False  # fix one point's side; complements are equivalent
-            if mask.all() or not mask.any():
-                continue
-            inertia = partition_inertia(mask)
-            if best is None or inertia < best:
-                best, best_mask = inertia, mask
-        assert result.inertia == pytest.approx(best, abs=1e-9)
-        got = result.labels == result.labels[0]
-        assert np.array_equal(got, best_mask) or np.array_equal(got, ~best_mask)
-        assert np.array_equal(got, np.array([True] * 5 + [False] * 5)) or np.array_equal(
-            got, np.array([False] * 5 + [True] * 5)
-        )
-
-    def test_k_equals_n_zero_inertia(self):
-        x = np.random.default_rng(31).normal(size=(8, 2))
-        result = kmeans(x, 8, seed=0)
-        assert result.inertia == pytest.approx(0.0, abs=1e-20)
-
-    def test_k_one_centroid_is_mean(self):
-        x = np.random.default_rng(32).normal(size=(20, 3))
-        result = kmeans(x, 1, seed=0)
-        assert np.allclose(result.centroids[0], x.mean(axis=0), atol=1e-12)
-        assert result.inertia == pytest.approx(float(((x - x.mean(axis=0)) ** 2).sum()))
-
-    def test_inertia_history_non_increasing(self):
-        x = np.random.default_rng(33).normal(size=(120, 2))
-        result = kmeans(x, 5, seed=2)
-        hist = result.inertia_history
-        assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
-
-    def test_labels_and_inertia_consistent(self):
-        x = np.random.default_rng(34).normal(size=(50, 3))
-        result = kmeans(x, 4, seed=1)
-        assert result.labels.min() >= 0 and result.labels.max() < 4
-        recomputed = sum(
-            float(((x[i] - result.centroids[result.labels[i]]) ** 2).sum())
-            for i in range(50)
-        )
-        assert result.inertia == pytest.approx(recomputed, rel=1e-12)
-
-    def test_same_seed_same_result(self):
-        x = np.random.default_rng(35).normal(size=(60, 2))
-        a = kmeans(x, 3, seed=7)
-        b = kmeans(x, 3, seed=7)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centroids, b.centroids)
-
-    def test_k_out_of_range_rejected(self):
-        x = np.random.default_rng(36).normal(size=(10, 2))
-        with pytest.raises(ValueError):
-            kmeans(x, 0)
-        with pytest.raises(ValueError):
-            kmeans(x, 11)
 
 
 class TestPersistence:

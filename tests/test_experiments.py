@@ -1,6 +1,8 @@
 """Config parsing, experiment runners, output files, and the CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,3 +442,44 @@ class TestCli:
         assert rc == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "command, text, extra, path",
+        [
+            ("swissroll", '{"dataset": {"n": 1}}', [], "config.dataset.n"),
+            ("swissroll", '{"dataset": {"noise_sigma": NaN}}', [], "config.dataset.noise_sigma"),
+            ("swissroll", '{"dataset": {"p_treat": 1.5}}', [], "config.dataset.p_treat"),
+            ("swissroll", "{}", ["--seed", "-1"], "config.seed"),
+            ("propensity", '{"logistic": {"l2": -10}}', [], "config.logistic.l2"),
+            ("swissroll", '{"lle": {"reg": NaN}}', [], "config.lle.reg"),
+            ("gradcheck", '{"tolerance": NaN}', [], "config.tolerance"),
+            ("gradcheck", '{"step": Infinity}', [], "config.step"),
+            ("propensity", '{"dataset": {"jitter_sigma": -1}}', [], "config.dataset.jitter_sigma"),
+            ("propensity", '{"dataset": {"jitter_sigma": NaN}}', [], "config.dataset.jitter_sigma"),
+            ("propensity", '{"logistic": {"grad_tol": -1}}', [], "config.logistic.grad_tol"),
+            ("propensity", "{}", ["--seed", "-1"], "config.seed"),
+            ("gradcheck", "{}", ["--seed", "-1"], "config.seed"),
+            ("gradcheck", "null", [], "config must be a JSON object"),
+            ("swissroll", '{"dataset": null}', [], "config.dataset must be a JSON object"),
+            ("gradcheck", '{"count": 2, "count": 3}', [], "config: duplicate key 'count'"),
+        ],
+    )
+    def test_bad_values_rejected_at_parse_exit_1(self, tmp_path, capsys, command, text, extra, path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}")
+        assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_blocks_are_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    docs = [json.loads(chunk) for chunk in re.split(r"^//.*$", block, flags=re.M) if chunk.strip()]
+    parsers = {"swissroll": parse_swissroll, "propensity": parse_propensity, "gradcheck": parse_gradcheck}
+    defaults = {"swissroll": SwissRollRun(), "propensity": PropensityRun(), "gradcheck": GradcheckRun()}
+    assert sorted(d["experiment"] for d in docs) == sorted(parsers)
+    for doc in docs:
+        assert parsers[doc["experiment"]](doc) == defaults[doc["experiment"]]

@@ -11,10 +11,8 @@ from deepmatch.metrics import (
     REFERENCE_MISASSIGNMENT,
     EffectReport,
     PropensityReport,
-    effect_report_from_dict,
     ite_error,
     misassignment_report,
-    propensity_report_from_dict,
     report_to_dict,
     silhouette,
     threshold_labels,
@@ -71,8 +69,8 @@ class TestReportRecords:
             accuracy_pct=62.0,
             seed=1,
         )
-        assert effect_report_from_dict(json.loads(json.dumps(report_to_dict(effect)))) == effect
-        assert propensity_report_from_dict(json.loads(json.dumps(report_to_dict(prop)))) == prop
+        assert EffectReport(**json.loads(json.dumps(report_to_dict(effect)))) == effect
+        assert PropensityReport(**json.loads(json.dumps(report_to_dict(prop)))) == prop
 
     def test_reference_constants_documented_values(self):
         assert REFERENCE_MISASSIGNMENT["logistic"] == (26.6, 38.0, 62.0)

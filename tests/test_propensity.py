@@ -14,7 +14,6 @@ from deepmatch.propensity import (
     fit_logistic,
     fit_propensity_net,
     holdout_accuracy,
-    kfold_indices,
     load_propensity_model,
     log_odds,
     save_propensity_model,
@@ -186,20 +185,6 @@ class TestFitProtocol:
         result = fit("logistic", x, w, PropensityFitConfig(seed=1))
         acc = holdout_accuracy(result, x, w)
         assert 0.5 < acc <= 1.0
-
-    def test_kfold_indices_partition(self):
-        folds = kfold_indices(23, 4, seed=0)
-        assert len(folds) == 4
-        all_test = np.concatenate([test for _, test in folds])
-        assert np.array_equal(np.sort(all_test), np.arange(23))
-        for train, test in folds:
-            assert np.intersect1d(train, test).size == 0
-            assert len(train) + len(test) == 23
-            assert np.array_equal(train, np.sort(train))
-        with pytest.raises(ValueError):
-            kfold_indices(10, 1, seed=0)
-        with pytest.raises(ValueError):
-            kfold_indices(10, 11, seed=0)
 
 
 class TestBalanceReport:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import jacobi_eigh, symmetric_eigh
+from .matching import knn
 from .network import (
     LayerSpec,
     Network,
@@ -295,17 +296,14 @@ class LleEmbedder(Embedder):
         object.__setattr__(self, "m", self.embedding.shape[1])
 
     def _map(self, x: np.ndarray) -> np.ndarray:
+        nbrs, d = knn(x, self.train_x, self.k_neighbors)
         out = np.empty((x.shape[0], self.m))
         for i in range(x.shape[0]):
-            diff = self.train_x - x[i]
-            d2 = (diff * diff).sum(axis=1)
-            order = np.argsort(d2, kind="stable")
-            if d2[order[0]] == 0.0:
-                out[i] = self.embedding[order[0]]
+            if d[i, 0] == 0.0:
+                out[i] = self.embedding[nbrs[i, 0]]
                 continue
-            nbrs = order[: self.k_neighbors]
-            w = _barycentric_weights(x[i], self.train_x[nbrs], self.reg)
-            out[i] = w @ self.embedding[nbrs]
+            w = _barycentric_weights(x[i], self.train_x[nbrs[i]], self.reg)
+            out[i] = w @ self.embedding[nbrs[i]]
         return out
 
     def _payload(self) -> dict:
@@ -337,11 +335,10 @@ def lle_weight_matrix(x: np.ndarray, k_neighbors: int, reg: float) -> np.ndarray
     """Row-stochastic n x n matrix of neighbor reconstruction weights."""
     n = x.shape[0]
     w = np.zeros((n, n))
+    # k+1 neighbours, less i wherever ties place it (or the last, if i lost a tie at 0)
+    nearest, _ = knn(x, x, k_neighbors + 1)
     for i in range(n):
-        diff = x - x[i]
-        d2 = (diff * diff).sum(axis=1)
-        d2[i] = np.inf
-        nbrs = np.argsort(d2, kind="stable")[:k_neighbors]
+        nbrs = nearest[i][nearest[i] != i][:k_neighbors]
         w[i, nbrs] = _barycentric_weights(x[i], x[nbrs], reg)
     return w
 

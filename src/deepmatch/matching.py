@@ -1,7 +1,9 @@
 """Nearest-neighbor matching across treatment arms and effect estimation.
 
 Matching is exact brute-force Euclidean search (no trees, no approximation)
-so results are deterministic and easy to verify against a plain scan. The
+so results are deterministic and easy to verify against a plain scan. Every
+neighbor search in the library (effect matching, score matching, LLE) runs
+through one blocked kernel, `knn`, which rejects non-finite input. The
 unit-level effect estimate differences each unit's observed outcome against
 the mean outcome of its k nearest opposite-arm neighbors:
 
@@ -77,22 +79,44 @@ def _check_arms(w: np.ndarray) -> None:
         raise ValueError("control arm is empty: nothing to match against")
 
 
-def _knn(query: np.ndarray, candidates: np.ndarray, cand_indices: np.ndarray, k: int):
-    """Exact k smallest Euclidean distances; ties go to the lower index.
+# distances one query block may hold at once; bounds the kernel's scratch memory
+_BLOCK_ENTRIES = 1 << 16
 
-    Distances use the direct difference form sqrt(sum((a-b)^2)), never the
-    expanded inner-product identity, and accumulate coordinate by coordinate
-    in a fixed left-to-right order, so they agree digit-for-digit with a
-    plain scalar scan (numpy's vectorized sum reassociates terms and would
-    not).
+
+def knn(queries: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest pool rows of each query row: (indices, distances), n_queries x k.
+
+    Nearest first; ties go to the lower pool index. A distance is sqrt(sum((a-b)^2)),
+    never the inner-product identity, summed one coordinate at a time left to right,
+    so it agrees digit-for-digit with a plain scalar scan (numpy's vectorized sum
+    reassociates terms). Queries run in blocks of at most _BLOCK_ENTRIES distances.
     """
-    total = np.zeros(candidates.shape[0])
-    for c in range(candidates.shape[1]):
-        delta = candidates[:, c] - query[c]
-        total += delta * delta
-    dists = np.sqrt(total)
-    order = np.argsort(dists, kind="stable")[:k]
-    return cand_indices[order], dists[order]
+    queries = np.asarray(queries, dtype=float)
+    pool = np.asarray(pool, dtype=float)
+    if queries.ndim != 2 or pool.ndim != 2 or queries.shape[1] != pool.shape[1]:
+        raise ValueError("queries and pool must be 2-D with a shared column count")
+    if not (np.all(np.isfinite(queries)) and np.all(np.isfinite(pool))):
+        raise ValueError("matching input must be finite (found NaN or inf)")
+    n_pool = pool.shape[0]
+    if not 1 <= k <= n_pool:
+        raise ValueError(f"k must be in [1, {n_pool}] (pool size), got {k}")
+    indices = np.empty((queries.shape[0], k), dtype=np.intp)
+    distances = np.empty((queries.shape[0], k))
+    step = max(1, _BLOCK_ENTRIES // n_pool)
+    for start in range(0, queries.shape[0], step):
+        block = queries[start : start + step]
+        dist = np.zeros((block.shape[0], n_pool))
+        for c in range(pool.shape[1]):
+            delta = pool[:, c] - block[:, c, None]
+            dist += delta * delta
+        np.sqrt(dist, out=dist)
+        # candidates within the k-th distance, by (row, distance, index); each row's first k win
+        row, col = np.nonzero(dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k])
+        order = np.lexsort((col, dist[row, col], row))
+        pick = order[np.searchsorted(row, np.arange(block.shape[0]))[:, None] + np.arange(k)]
+        indices[start : start + step] = col[pick]
+        distances[start : start + step] = dist[row[pick], col[pick]]
+    return indices, distances
 
 
 def nearest_opposite(z: np.ndarray, w: np.ndarray, i: int, k: int = 1) -> MatchResult:
@@ -101,48 +125,8 @@ def nearest_opposite(z: np.ndarray, w: np.ndarray, i: int, k: int = 1) -> MatchR
     w = np.asarray(w)
     _check_arms(w)
     opp = np.flatnonzero(w != w[i])
-    if k < 1 or k > opp.shape[0]:
-        raise ValueError(f"k must be in [1, {opp.shape[0]}] (opposite arm size), got {k}")
-    idx, d = _knn(z[i], z[opp], opp, k)
-    return MatchResult(query_index=int(i), neighbor_indices=idx, distances=d)
-
-
-def _effects_against_pool(
-    z_query, w_query, y_query, z_pool, w_pool, y_pool, k, caliper
-) -> EffectEstimate:
-    n = z_query.shape[0]
-    ite = np.full(n, np.nan)
-    treated_pool = np.flatnonzero(w_pool == 1)
-    control_pool = np.flatnonzero(w_pool == 0)
-    for arm, pool in ((1, control_pool), (0, treated_pool)):
-        if not np.any(w_query == arm):
-            continue
-        side = "control" if arm == 1 else "treated"
-        if pool.shape[0] == 0:
-            raise ValueError(f"{side} arm of the matching pool is empty")
-        if pool.shape[0] < k:
-            raise ValueError(
-                f"k={k} exceeds the {side} matching pool of size {pool.shape[0]}"
-            )
-    for i in range(n):
-        pool = control_pool if w_query[i] == 1 else treated_pool
-        idx, d = _knn(z_query[i], z_pool[pool], pool, k)
-        if caliper is not None:
-            keep = d <= caliper
-            if not np.any(keep):
-                continue
-            idx = idx[keep]
-        total = 0.0
-        for j in idx:
-            total += float(y_pool[j])
-        matched_mean = total / idx.shape[0]
-        ite[i] = y_query[i] - matched_mean if w_query[i] == 1 else matched_mean - y_query[i]
-    matched = ite[np.isfinite(ite)]
-    if matched.size == 0:
-        raise ValueError("no matched units: every unit exceeded the caliper")
-    return EffectEstimate(
-        ite=ite, ate=float(np.mean(matched)), k=k, n_unmatched=int(n - matched.size)
-    )
+    idx, d = knn(z[i : i + 1], z[opp], k)
+    return MatchResult(query_index=int(i), neighbor_indices=opp[idx[0]], distances=d[0])
 
 
 def estimate_effects(
@@ -150,13 +134,8 @@ def estimate_effects(
     caliper: float | None = None,
 ) -> EffectEstimate:
     """Effect estimates matching every unit within one dataset."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w)
-    y_obs = np.asarray(y_obs, dtype=float)
-    if z.ndim != 2 or w.shape != (z.shape[0],) or y_obs.shape != (z.shape[0],):
-        raise ValueError("z must be n x m with w and y_obs of length n")
-    _check_arms(w)
-    return _effects_against_pool(z, w, y_obs, z, w, y_obs, k, caliper)
+    _check_arms(np.asarray(w))
+    return estimate_effects_pooled(z, w, y_obs, z, w, y_obs, k, caliper)
 
 
 def estimate_effects_pooled(
@@ -167,6 +146,7 @@ def estimate_effects_pooled(
 
     Used for held-out evaluation: queries are test units, the pool is the
     training set, and each test unit matches into the pool's opposite arm.
+    The k matched outcomes are summed left to right, as a scalar scan would.
     """
     z_query = np.asarray(z_query, dtype=float)
     z_pool = np.asarray(z_pool, dtype=float)
@@ -175,39 +155,62 @@ def estimate_effects_pooled(
     y_query = np.asarray(y_query, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
     if z_query.ndim != 2 or z_pool.ndim != 2 or z_query.shape[1] != z_pool.shape[1]:
-        raise ValueError("query and pool representations must share a column count")
+        raise ValueError("representations must be n x m, with one m for queries and pool")
+    if not w_query.shape == y_query.shape == z_query.shape[:1] or not (
+        w_pool.shape == y_pool.shape == z_pool.shape[:1]
+    ):
+        raise ValueError("w and y must have one entry per row of z, for queries and pool alike")
     if not (np.isin(w_query, (0, 1)).all() and np.isin(w_pool, (0, 1)).all()):
         raise ValueError("treatment indicator must be 0 or 1")
-    return _effects_against_pool(z_query, w_query, y_query, z_pool, w_pool, y_pool, k, caliper)
+    n = z_query.shape[0]
+    ite = np.full(n, np.nan)
+    for arm, side in ((1, "control"), (0, "treated")):
+        rows = np.flatnonzero(w_query == arm)
+        if rows.shape[0] == 0:
+            continue
+        pool = np.flatnonzero(w_pool != arm)
+        if pool.shape[0] == 0:
+            raise ValueError(f"{side} arm of the matching pool is empty")
+        if pool.shape[0] < k:
+            raise ValueError(f"k={k} exceeds the {side} matching pool of size {pool.shape[0]}")
+        idx, d = knn(z_query[rows], z_pool[pool], k)
+        y = y_pool[pool[idx]]
+        keep = d <= (np.inf if caliper is None else caliper)
+        total = np.zeros(rows.shape[0])
+        for c in range(k):
+            total += np.where(keep[:, c], y[:, c], 0.0)
+        count = keep.sum(axis=1)
+        rows, mean = rows[count > 0], total[count > 0] / count[count > 0]
+        ite[rows] = y_query[rows] - mean if arm == 1 else mean - y_query[rows]
+    matched = ite[np.isfinite(ite)]
+    if matched.size == 0:
+        raise ValueError("no matched units: every unit exceeded the caliper")
+    return EffectEstimate(
+        ite=ite, ate=float(np.mean(matched)), k=k, n_unmatched=int(n - matched.size)
+    )
 
 
 def propensity_match(scores, w, query_arm: int = 1) -> list[MatchResult]:
     """Match every unit of `query_arm` to its nearest opposite-arm score.
 
-    Nearness is |score difference|; matching is with replacement and ties
-    take the lower index. The default matches treated units to controls;
-    query_arm=0 runs the symmetric direction.
+    Nearness is the kernel distance sqrt(d*d) of the score difference d,
+    which equals |d| unless |d| is below about 1.5e-154, where d*d
+    underflows to 0 and the distance reads 0. Matching is with replacement
+    and ties take the lower index. The default matches treated units to
+    controls; query_arm=0 runs the symmetric direction.
     """
     scores = np.asarray(scores, dtype=float)
     w = np.asarray(w)
     if scores.ndim != 1 or scores.shape != w.shape:
         raise ValueError("scores and w must be equal-length vectors")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
     if query_arm not in (0, 1):
         raise ValueError(f"query_arm must be 0 or 1, got {query_arm}")
     _check_arms(w)
     queries = np.flatnonzero(w == query_arm)
     cand = np.flatnonzero(w != query_arm)
-    results = []
-    for i in queries:
-        d = np.abs(scores[cand] - scores[i])
-        j = int(np.argsort(d, kind="stable")[0])
-        results.append(
-            MatchResult(
-                query_index=int(i),
-                neighbor_indices=cand[j : j + 1],
-                distances=d[j : j + 1],
-            )
-        )
-    return results
+    idx, d = knn(scores[queries, None], scores[cand, None], 1)
+    nbrs = cand[idx]
+    return [
+        MatchResult(query_index=int(i), neighbor_indices=nbrs[r], distances=d[r])
+        for r, i in enumerate(queries)
+    ]

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from deepmatch import matching
 from deepmatch.data import SwissRollConfig, duplicate_twins, gen_swiss_roll
+from deepmatch.embedding import fit_lle, lle_weight_matrix
 from deepmatch.matching import (
     EffectEstimate,
     MatchResult,
     estimate_effects,
     estimate_effects_pooled,
+    knn,
     nearest_opposite,
     propensity_match,
 )
@@ -22,6 +25,93 @@ def random_instance(rng, n_max=200, d_max=5):
     w[rng.permutation(n)[:n1]] = 1
     y = rng.standard_normal(n)
     return z, w, y
+
+
+def tied_instance(rng, n_pool_max=30, d_max=4):
+    """Queries and pool on a coarse integer grid, with duplicated pool rows."""
+    d = int(rng.integers(1, d_max + 1))
+    base = rng.integers(-2, 3, size=(int(rng.integers(1, n_pool_max + 1)), d)).astype(float)
+    pool = base[rng.integers(0, base.shape[0], size=int(rng.integers(1, n_pool_max + 1)))]
+    queries = rng.integers(-2, 3, size=(int(rng.integers(1, 12)), d)).astype(float)
+    return queries, pool
+
+
+def scan_pool(query, pool, k):
+    """knn_scan of one query against a pool: the query is the only treated unit."""
+    z = [list(query)] + pool.tolist()
+    idx, dist = knn_scan(z, [1] + [0] * pool.shape[0], 0, k)
+    return [j - 1 for j in idx], dist
+
+
+class TestKnnKernel:
+    @pytest.mark.parametrize("block_entries", [1 << 16, 40, 1])
+    def test_matches_scan_oracle_with_heavy_ties(self, monkeypatch, block_entries):
+        # small block budgets force one query (or a few) per block
+        monkeypatch.setattr(matching, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(30)
+        for _ in range(25):
+            queries, pool = tied_instance(rng)
+            full = [scan_pool(q, pool, pool.shape[0]) for q in queries]
+            for k in range(1, pool.shape[0] + 1):
+                idx, dist = knn(queries, pool, k)
+                assert idx.shape == dist.shape == (queries.shape[0], k)
+                for r, (want_idx, want_dist) in enumerate(full):
+                    assert idx[r].tolist() == want_idx[:k]
+                    assert dist[r].tolist() == want_dist[:k]
+
+    def test_continuous_data_across_many_blocks(self):
+        # 12 columns: numpy's pairwise sum would reassociate these, the kernel must not
+        rng = np.random.default_rng(31)
+        pool = rng.standard_normal((1500, 12))
+        queries = np.vstack([rng.standard_normal((60, 12)), pool[:5]])
+        idx, dist = knn(queries, pool, 4)
+        for r in range(0, queries.shape[0], 7):
+            assert (idx[r].tolist(), dist[r].tolist()) == scan_pool(queries[r], pool, 4)
+        assert dist[-5:, 0].tolist() == [0.0] * 5
+
+    def test_one_dimensional_scores_agree_with_abs_difference_scan(self, monkeypatch):
+        monkeypatch.setattr(matching, "_BLOCK_ENTRIES", 50)
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            n = int(rng.integers(2, 80))
+            scores = np.round(rng.random(n), int(rng.integers(1, 4)))
+            w = (rng.random(n) < 0.5).astype(int)
+            w[:2] = (0, 1)
+            for arm in (0, 1):
+                cand = np.flatnonzero(w != arm)
+                for m in propensity_match(scores, w, query_arm=arm):
+                    gaps = [abs(scores[m.query_index] - scores[j]) for j in cand]
+                    best = min(range(len(cand)), key=lambda t: (gaps[t], cand[t]))
+                    assert m.neighbor_indices.tolist() == [cand[best]]
+                    assert m.distances.tolist() == [gaps[best]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected(self, bad):
+        pool = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="finite"):
+            knn(np.array([[0.0, bad]]), pool, 1)
+        pool[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            knn(np.zeros((1, 2)), pool, 1)
+
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_k_outside_pool_rejected(self, k):
+        with pytest.raises(ValueError, match="k must"):
+            knn(np.zeros((1, 2)), np.zeros((4, 2)), k)
+
+    def test_lle_neighbours_skip_self_among_many_duplicates(self):
+        # point 0 appears 9 times, more than k+1 = 6, so ties at distance 0
+        # can rank i itself beyond the k+1 nearest
+        rng = np.random.default_rng(33)
+        x = np.vstack([np.tile([[0.5, -1.0, 2.0]], (9, 1)), rng.standard_normal((25, 3))])
+        x = x[rng.permutation(x.shape[0])]
+        k = 5
+        w = lle_weight_matrix(x, k, 1e-3)
+        for i in range(x.shape[0]):
+            assert w[i, i] == 0.0
+            want, _ = knn_scan(x.tolist(), [int(j == i) for j in range(x.shape[0])], i, k)
+            assert np.flatnonzero(w[i]).tolist() == sorted(want)
+        assert np.all(np.isfinite(fit_lle(x, 2, k_neighbors=k).embedding))
 
 
 class TestNearestOpposite:
@@ -180,6 +270,51 @@ class TestPooledEffects:
                 np.zeros((1, 1)), np.array([1]), np.zeros(1),
                 np.zeros((2, 1)), np.array([1, 1]), np.zeros(2), k=1,
             )
+
+
+_Z = np.random.default_rng(40).standard_normal((20, 3))
+_W = np.tile([1, 0], 10)
+_Y = np.random.default_rng(41).standard_normal(20)
+
+
+def _z_with(value, row):
+    z = _Z.copy()
+    z[row] = value
+    return z
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: estimate_effects(_z_with(np.nan, 7), _W, _Y), "finite", id="nan_row"),
+        pytest.param(lambda: estimate_effects(_z_with(np.inf, 4), _W, _Y), "finite", id="inf_row"),
+        pytest.param(lambda: estimate_effects(_Z, _W, _Y, k=-1), "k must", id="k_negative"),
+        pytest.param(lambda: estimate_effects(_Z, _W, _Y, k=0), "k must", id="k_zero"),
+        pytest.param(
+            lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _Z, _W, _Y, k=0),
+            "k must", id="pooled_k_zero",
+        ),
+        pytest.param(
+            lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _Z, _W[:12], _Y),
+            "one entry per row", id="short_w_pool",
+        ),
+        pytest.param(
+            lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _Z, _W, _Y[:12]),
+            "one entry per row", id="short_y_pool",
+        ),
+        pytest.param(
+            lambda: estimate_effects_pooled(_Z[:5], _W[:8], _Y[:5], _Z, _W, _Y),
+            "one entry per row", id="long_w_query",
+        ),
+        pytest.param(
+            lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _z_with(np.nan, 9), _W, _Y),
+            "finite", id="nan_pool_row",
+        ),
+    ],
+)
+def test_bad_matching_input_rejected_where_it_enters(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestPropensityMatch:

@@ -24,7 +24,6 @@ from .network import (
     Network,
     NetworkSpec,
     TrainConfig,
-    _activate,
     init_network,
     network_from_payload,
     network_to_payload,
@@ -180,7 +179,7 @@ class AutoencoderEmbedder(Embedder):
 
     The network maps standardized inputs through tanh hidden layers to an
     identity output; `n_encoder_layers` marks where the bottleneck sits, and
-    transform runs only that prefix of the forward pass.
+    transform reads that layer's output from an eval-mode forward pass.
     """
 
     mean: np.ndarray
@@ -197,12 +196,7 @@ class AutoencoderEmbedder(Embedder):
         object.__setattr__(self, "m", bottleneck.fan_out)
 
     def _encode(self, z: np.ndarray) -> np.ndarray:
-        # the forward pass truncated at the bottleneck layer
-        a = z
-        for l in range(self.n_encoder_layers):
-            layer = self.network.spec.layers[l]
-            a = _activate(layer.activation, a @ self.network.weights[l].T + self.network.biases[l])
-        return a
+        return self.network.forward(z).inputs[self.n_encoder_layers]
 
     def _map(self, x: np.ndarray) -> np.ndarray:
         return self._encode((x - self.mean) / self.scale)

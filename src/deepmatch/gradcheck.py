@@ -14,48 +14,36 @@ from .network import LayerSpec, Network, NetworkSpec, init_network
 
 
 def finite_difference_gradients(net: Network, x: np.ndarray, y: np.ndarray,
-                                step: float = 1e-5) -> list:
-    """Central-difference loss gradients for every weight and bias (dropout off)."""
+                                step: float = 1e-5) -> np.ndarray:
+    """Central-difference loss gradient in the `theta` layout (dropout off)."""
+    theta = net.theta
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        up = net.loss(net.predict(x), y)
+        theta[i] = orig - step
+        down = net.loss(net.predict(x), y)
+        theta[i] = orig
+        grad[i] = (up - down) / (2.0 * step)
+    return grad
 
-    def loss_now() -> float:
-        return net.loss(net.predict(x), y)
 
-    grads = []
-    for w, b in zip(net.weights, net.biases):
-        dw = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            orig = w[idx]
-            w[idx] = orig + step
-            up = loss_now()
-            w[idx] = orig - step
-            down = loss_now()
-            w[idx] = orig
-            dw[idx] = (up - down) / (2.0 * step)
-        db = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            orig = b[idx]
-            b[idx] = orig + step
-            up = loss_now()
-            b[idx] = orig - step
-            down = loss_now()
-            b[idx] = orig
-            db[idx] = (up - down) / (2.0 * step)
-        grads.append((dw, db))
-    return grads
+def _worst_relative_error(net: Network, analytic: np.ndarray, numeric: np.ndarray) -> float:
+    # the relative error of each weight matrix and bias vector on its own scale
+    worst = 0.0
+    for tensors in zip(net.split(analytic), net.split(numeric)):
+        for a, nmr in zip(*tensors):
+            denom = max(float(np.abs(a).max()), float(np.abs(nmr).max()), 1e-8)
+            worst = max(worst, float(np.abs(a - nmr).max()) / denom)
+    return worst
 
 
 def max_relative_gradient_error(net: Network, x: np.ndarray, y: np.ndarray,
                                 step: float = 1e-5) -> float:
     """Worst per-tensor relative disagreement between backward and the oracle."""
-    cache = net.forward(x, train_mode=False)
-    analytic = net.backward(cache, y)
-    numeric = finite_difference_gradients(net, x, y, step=step)
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, nmr in ((aw, nw), (ab, nb)):
-            denom = max(float(np.abs(a).max()), float(np.abs(nmr).max()), 1e-8)
-            worst = max(worst, float(np.abs(a - nmr).max()) / denom)
-    return worst
+    analytic = net.backward(net.forward(x), y)
+    return _worst_relative_error(net, analytic, finite_difference_gradients(net, x, y, step))
 
 
 @dataclass(frozen=True)
@@ -116,13 +104,6 @@ def run_case(case: GradCheckCase, step: float = 1e-5, corrupt: bool = False) -> 
     if not corrupt:
         return max_relative_gradient_error(net, x, y, step=step)
 
-    cache = net.forward(x)
-    analytic = net.backward(cache, y)
-    analytic[0][0].flat[0] += 1.0  # deliberate fault
-    numeric = finite_difference_gradients(net, x, y, step=step)
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, nmr in ((aw, nw), (ab, nb)):
-            denom = max(float(np.abs(a).max()), float(np.abs(nmr).max()), 1e-8)
-            worst = max(worst, float(np.abs(a - nmr).max()) / denom)
-    return worst
+    analytic = net.backward(net.forward(x), y)
+    analytic[0] += 1.0  # deliberate fault in the first weight
+    return _worst_relative_error(net, analytic, finite_difference_gradients(net, x, y, step))

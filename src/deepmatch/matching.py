@@ -3,9 +3,10 @@
 Matching is exact brute-force Euclidean search (no trees, no approximation)
 so results are deterministic and easy to verify against a plain scan. Every
 neighbor search in the library (effect matching, score matching, LLE) runs
-through one blocked kernel, `knn`, which rejects non-finite input. The
-unit-level effect estimate differences each unit's observed outcome against
-the mean outcome of its k nearest opposite-arm neighbors:
+through one blocked kernel, `knn`, which rejects non-finite input; effect
+estimation rejects non-finite outcomes as well. The unit-level effect
+estimate differences each unit's observed outcome against the mean outcome
+of its k nearest opposite-arm neighbors:
 
     ite[i] = y_obs[i] - mean(matched control outcomes)   if w[i] = 1
     ite[i] = mean(matched treated outcomes) - y_obs[i]   if w[i] = 0
@@ -160,6 +161,8 @@ def estimate_effects_pooled(
         w_pool.shape == y_pool.shape == z_pool.shape[:1]
     ):
         raise ValueError("w and y must have one entry per row of z, for queries and pool alike")
+    if not (np.isfinite(y_query).all() and np.isfinite(y_pool).all()):
+        raise ValueError("outcomes y must be finite, for queries and pool alike")
     if not (np.isin(w_query, (0, 1)).all() and np.isin(w_pool, (0, 1)).all()):
         raise ValueError("treatment indicator must be 0 or 1")
     n = z_query.shape[0]

@@ -9,7 +9,7 @@ harness in `gradcheck` exists precisely to keep these gradients honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -168,7 +168,12 @@ class ForwardPass:
 
 
 class Network:
-    """A dense feedforward net: per-layer weight matrices (fan_out x fan_in) and biases."""
+    """A dense feedforward net whose parameters live in one float64 vector.
+
+    `theta` holds, layer by layer, the weight matrix (fan_out x fan_in,
+    row-major) and then the bias. `weights[l]` and `biases[l]` are views into
+    it, and gradients and optimiser state share the same layout.
+    """
 
     def __init__(self, spec: NetworkSpec, weights: list, biases: list):
         if len(weights) != len(spec.layers) or len(biases) != len(spec.layers):
@@ -177,20 +182,29 @@ class Network:
             if w.shape != (layer.fan_out, layer.fan_in) or b.shape != (layer.fan_out,):
                 raise ValueError(f"parameter shape mismatch for layer {layer}")
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
+        self.theta = np.empty(spec.param_count)
+        views = self.split(self.theta)
+        for (w, b), w0, b0 in zip(views, weights, biases):
+            w[...] = w0
+            b[...] = b0
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
 
     @property
     def param_count(self) -> int:
         return self.spec.param_count
 
-    def parameters(self) -> list:
-        """All parameter arrays in a fixed order (weights and biases interleaved)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def split(self, flat: np.ndarray) -> list:
+        """Per-layer (W, b) views of a vector laid out like `theta`."""
+        if flat.shape != (self.param_count,):
+            raise ValueError(f"expected a flat vector of {self.param_count}, got {flat.shape}")
+        views, start = [], 0
+        for layer in self.spec.layers:
+            mid = start + layer.fan_out * layer.fan_in
+            stop = mid + layer.fan_out
+            views.append((flat[start:mid].reshape(layer.fan_out, layer.fan_in), flat[mid:stop]))
+            start = stop
+        return views
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardPass:
@@ -230,11 +244,11 @@ class Network:
         p = np.clip(output, CCE_CLAMP, 1.0)
         return float(np.mean(-np.sum(target * np.log(p), axis=1)))
 
-    def backward(self, cache: ForwardPass, target: np.ndarray) -> list:
-        """Exact gradients of the loss w.r.t. every weight and bias.
+    def backward(self, cache: ForwardPass, target: np.ndarray) -> np.ndarray:
+        """Exact gradient of the loss w.r.t. `theta`, as one vector in its layout.
 
-        Returns [(dW, db), ...] aligned with the layers; `cache` must come from
-        a forward pass over the same batch and dropout masks.
+        `cache` must come from a forward pass over the same batch and dropout
+        masks.
         """
         target = np.asarray(target, dtype=float)
         out = cache.output
@@ -250,16 +264,18 @@ class Network:
             d_out = 2.0 * (out - target) / n_batch
             delta = d_out * _activation_deriv(layers[-1].activation, out)
 
-        grads: list = [None] * len(layers)
+        grad = np.empty(self.param_count)
+        views = self.split(grad)
         for l in range(len(layers) - 1, -1, -1):
-            a_prev = cache.inputs[l]
-            grads[l] = (delta.T @ a_prev, delta.sum(axis=0))
+            dw, db = views[l]
+            dw[...] = delta.T @ cache.inputs[l]
+            db[...] = delta.sum(axis=0)
             if l > 0:
                 da = delta @ self.weights[l]
                 if cache.masks[l - 1] is not None:
                     da = da * cache.masks[l - 1]
                 delta = da * _activation_deriv(layers[l - 1].activation, cache.hidden[l - 1])
-        return grads
+        return grad
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -275,21 +291,17 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
 
 @dataclass
 class AdadeltaState:
-    """Running averages of squared gradients (eg2) and squared updates (ed2)."""
+    """Running averages of squared gradients (eg2) and updates (ed2), laid out like `theta`."""
 
     rho: float
     eps: float
-    eg2: list = field(default_factory=list)
-    ed2: list = field(default_factory=list)
+    eg2: np.ndarray
+    ed2: np.ndarray
 
     @classmethod
-    def for_params(cls, params: list, rho: float = 0.95, eps: float = 1e-6) -> "AdadeltaState":
-        return cls(
-            rho=rho,
-            eps=eps,
-            eg2=[np.zeros_like(p) for p in params],
-            ed2=[np.zeros_like(p) for p in params],
-        )
+    def for_params(cls, theta: np.ndarray, rho: float = 0.95,
+                   eps: float = 1e-6) -> "AdadeltaState":
+        return cls(rho=rho, eps=eps, eg2=np.zeros_like(theta), ed2=np.zeros_like(theta))
 
 
 def adadelta_update(eg2: np.ndarray, ed2: np.ndarray, grad: np.ndarray,
@@ -301,26 +313,14 @@ def adadelta_update(eg2: np.ndarray, ed2: np.ndarray, grad: np.ndarray,
     return delta, eg2, ed2
 
 
-def adadelta_step(state: AdadeltaState, params: list, grads: list) -> None:
-    """Apply one adadelta step in place across a parameter list."""
-    for i, (p, g) in enumerate(zip(params, grads)):
-        delta, state.eg2[i], state.ed2[i] = adadelta_update(
-            state.eg2[i], state.ed2[i], g, state.rho, state.eps
-        )
-        p += delta
+def adadelta_step(state: AdadeltaState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """Apply one adadelta step to `theta` in place."""
+    delta, state.eg2, state.ed2 = adadelta_update(state.eg2, state.ed2, grad, state.rho, state.eps)
+    theta += delta
 
 
-def sgd_step(params: list, grads: list, lr: float) -> None:
-    for p, g in zip(params, grads):
-        p -= lr * g
-
-
-def _flatten_grads(grads: list) -> list:
-    out = []
-    for dw, db in grads:
-        out.append(dw)
-        out.append(db)
-    return out
+def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    theta -= lr * grad
 
 
 def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
@@ -336,10 +336,10 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
         raise ValueError(f"inputs ({x.shape[0]} rows) vs targets ({y.shape[0]} rows)")
     n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    params = net.parameters()
+    theta = net.theta
     state = None
     if isinstance(cfg.optimizer, Adadelta):
-        state = AdadeltaState.for_params(params, cfg.optimizer.rho, cfg.optimizer.eps)
+        state = AdadeltaState.for_params(theta, cfg.optimizer.rho, cfg.optimizer.eps)
 
     history = []
     for epoch in range(cfg.epochs):
@@ -349,15 +349,15 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
             idx = order[start:start + cfg.batch_size]
             cache = net.forward(x[idx], train_mode=True, rng=rng)
             batch_losses.append(net.loss(cache.output, y[idx]))
-            grads = _flatten_grads(net.backward(cache, y[idx]))
+            grad = net.backward(cache, y[idx])
             if state is not None:
-                adadelta_step(state, params, grads)
+                adadelta_step(state, theta, grad)
             else:
-                sgd_step(params, grads, cfg.optimizer.lr)
+                sgd_step(theta, grad, cfg.optimizer.lr)
         epoch_loss = float(np.mean(batch_losses))
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-        if not all(np.all(np.isfinite(p)) for p in params):
+        if not np.all(np.isfinite(theta)):
             raise TrainingDiverged(f"non-finite parameter at epoch {epoch}")
         history.append(epoch_loss)
     return history

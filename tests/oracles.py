@@ -106,3 +106,38 @@ def silhouette_scan(z, labels):
         b = min(d[labels == lab].mean() for lab in uniq if lab != labels[i])
         vals.append((b - a) / max(a, b))
     return float(np.mean(vals))
+
+
+def train_per_tensor(net, x, y, cfg):
+    """Mini-batch training with one optimiser update per weight matrix and bias.
+
+    The same batches, dropout draws and update formulas as `network.train`,
+    but each tensor (a `net.split` view of `theta`) keeps its own adadelta
+    accumulators and gets its own `adadelta_update` call. Returns the
+    per-epoch mean batch loss.
+    """
+    from deepmatch.network import Adadelta, adadelta_update
+
+    opt = cfg.optimizer
+    tensors = [t for pair in net.split(net.theta) for t in pair]
+    eg2 = [np.zeros_like(t) for t in tensors]
+    ed2 = [np.zeros_like(t) for t in tensors]
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            cache = net.forward(x[idx], train_mode=True, rng=rng)
+            losses.append(net.loss(cache.output, y[idx]))
+            grads = [g for pair in net.split(net.backward(cache, y[idx])) for g in pair]
+            for i, (t, g) in enumerate(zip(tensors, grads)):
+                if isinstance(opt, Adadelta):
+                    delta, eg2[i], ed2[i] = adadelta_update(eg2[i], ed2[i], g, opt.rho, opt.eps)
+                    t += delta
+                else:
+                    t -= opt.lr * g
+        history.append(float(np.mean(losses)))
+    return history

@@ -1,7 +1,7 @@
-"""Smoke test: the quick demos run to completion as scripts.
+"""Smoke test: every demo runs to completion as a script.
 
-`embedding_comparison.py` is left out; it trains every embedder at the
-default study size and takes several seconds.
+`embedding_comparison.py` is the slowest, at a few seconds: it trains every
+embedder at the default study size, the autoencoder through `TrainConfig`.
 """
 
 import os
@@ -18,7 +18,9 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = str(Path(deepmatch.__file__).resolve().parent.parent)
 
 
-@pytest.mark.parametrize("demo", ["twin_recovery", "propensity_workflow", "gradient_audit"])
+@pytest.mark.parametrize(
+    "demo", ["twin_recovery", "propensity_workflow", "gradient_audit", "embedding_comparison"]
+)
 def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(

@@ -52,8 +52,9 @@ def test_oracle_never_calls_backward(monkeypatch):
     monkeypatch.setattr(net, "backward", boom)
     x = np.random.default_rng(0).standard_normal((3, 2))
     y = np.random.default_rng(1).standard_normal((3, 2))
-    grads = finite_difference_gradients(net, x, y)
-    assert grads[0][0].shape == (2, 2)
+    grad = finite_difference_gradients(net, x, y)
+    assert grad.shape == net.theta.shape
+    assert net.split(grad)[0][0].shape == (2, 2)
 
 
 def test_error_metric_flags_disagreement():
@@ -64,10 +65,10 @@ def test_error_metric_flags_disagreement():
     baseline = max_relative_gradient_error(net, x, y)
     assert baseline < 1e-6
     cache = net.forward(x)
-    analytic = net.backward(cache, y)
-    analytic[0][0][0, 0] += 1.0
-    numeric = finite_difference_gradients(net, x, y)
-    assert abs(analytic[0][0][0, 0] - numeric[0][0][0, 0]) > 0.5
+    (aw, _), = net.split(net.backward(cache, y))
+    aw[0, 0] += 1.0
+    (nw, _), = net.split(finite_difference_gradients(net, x, y))
+    assert abs(aw[0, 0] - nw[0, 0]) > 0.5
 
 
 def test_named_case_round_trips_fields():

@@ -310,6 +310,16 @@ def _z_with(value, row):
             lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _z_with(np.nan, 9), _W, _Y),
             "finite", id="nan_pool_row",
         ),
+        pytest.param(
+            lambda: estimate_effects(_Z, _W, np.where(np.arange(20) == 3, np.nan, _Y)),
+            "finite", id="nan_y_query",
+        ),
+        pytest.param(
+            lambda: estimate_effects_pooled(
+                _Z[:5], _W[:5], _Y[:5], _Z, _W, np.where(np.arange(20) == 6, np.inf, _Y)
+            ),
+            "finite", id="inf_y_pool",
+        ),
     ],
 )
 def test_bad_matching_input_rejected_where_it_enters(call, message):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deepmatch.embedding import autoencoder_spec
 from deepmatch.network import (
     Adadelta,
     AdadeltaState,
@@ -20,6 +21,8 @@ from deepmatch.network import (
     save_model,
     train,
 )
+from deepmatch.propensity import build_propensity_net
+from oracles import train_per_tensor
 
 
 def classifier_spec(input_dim=2):
@@ -208,8 +211,8 @@ class TestBackward:
         net = init_network(NetworkSpec((LayerSpec(3, 2, activation="tanh"),)), seed=6)
         x = np.random.default_rng(3).standard_normal((4, 3))
         cache = net.forward(x)
-        grads = net.backward(cache, cache.output)
-        for dw, db in grads:
+        grad = net.backward(cache, cache.output)
+        for dw, db in net.split(grad):
             assert np.array_equal(dw, np.zeros_like(dw))
             assert np.array_equal(db, np.zeros_like(db))
 
@@ -220,7 +223,7 @@ class TestBackward:
                 NetworkSpec((LayerSpec(1, 1),)), [np.array([[w0]])], [np.zeros(1)]
             )
             cache = net.forward(np.array([[1.0]]))
-            (dw, db), = net.backward(cache, np.array([[0.0]]))
+            (dw, db), = net.split(net.backward(cache, np.array([[0.0]])))
             assert dw[0, 0] == pytest.approx(2.0 * w0, rel=1e-15)
             assert db[0] == pytest.approx(2.0 * w0, rel=1e-15)
 
@@ -230,7 +233,9 @@ class TestBackward:
         x = np.random.default_rng(0).standard_normal((5, 2))
         y = np.tile([1.0, 0.0], (5, 1))
         cache = net.forward(x)
-        for (dw, db), w, b in zip(net.backward(cache, y), net.weights, net.biases):
+        grad = net.backward(cache, y)
+        assert grad.shape == net.theta.shape == (spec.param_count,)
+        for (dw, db), w, b in zip(net.split(grad), net.weights, net.biases):
             assert dw.shape == w.shape and db.shape == b.shape
 
 
@@ -264,13 +269,13 @@ class TestAdadelta:
             assert np.allclose(ed2_new, ed2_ref, atol=1e-12, rtol=0)
 
     def test_zero_gradient_keeps_params_and_decays_ed2(self):
-        params = [np.array([1.0, -2.0])]
-        state = AdadeltaState.for_params(params)
-        state.ed2 = [np.array([0.4, 0.8])]
-        before = params[0].copy()
-        adadelta_step(state, params, [np.zeros(2)])
-        assert np.array_equal(params[0], before)
-        assert np.allclose(state.ed2[0], [0.95 * 0.4, 0.95 * 0.8], rtol=1e-15)
+        net = Network(NetworkSpec((LayerSpec(1, 1),)), [np.array([[1.0]])], [np.array([-2.0])])
+        state = AdadeltaState.for_params(net.theta)
+        state.ed2 = np.array([0.4, 0.8])
+        adadelta_step(state, net.theta, np.zeros(2))
+        (w, b), = net.split(net.theta)
+        assert w[0, 0] == 1.0 and b[0] == -2.0
+        assert np.allclose(state.ed2, [0.95 * 0.4, 0.95 * 0.8], rtol=1e-15)
 
     def test_update_opposes_gradient_sign(self):
         rng = np.random.default_rng(4)
@@ -316,6 +321,29 @@ class TestTrain:
             net = init_network(spec, seed=7)
             runs.append(train(net, x, y, TrainConfig(epochs=5, seed=3)))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "spec, cfg",
+        [
+            (build_propensity_net(3), TrainConfig(epochs=3, batch_size=16, seed=4)),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=6, seed=5)),
+            (autoencoder_spec(3, 2, hidden=(4,)), TrainConfig(epochs=6, optimizer=Sgd(0.05))),
+        ],
+        ids=["propensity_net_dropout", "autoencoder_default", "sgd"],
+    )
+    def test_flat_training_bit_identical_to_per_tensor_loop(self, spec, cfg):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((150, 3))
+        if spec.loss == "mse":
+            y = x
+        else:
+            y = np.eye(2)[(x[:, 0] + 0.5 * rng.standard_normal(150) > 0).astype(int)]
+        flat, per_tensor = init_network(spec, seed=2), init_network(spec, seed=2)
+        history = train(flat, x, y, cfg)
+        assert history == train_per_tensor(per_tensor, x, y, cfg)
+        assert (flat.theta == per_tensor.theta).all()
+        for w, b in zip(flat.weights, flat.biases):
+            assert np.shares_memory(w, flat.theta) and np.shares_memory(b, flat.theta)
 
     def test_sgd_monotone_on_convex_problem(self):
         # single linear layer + mse is convex; small enough lr decreases every epoch

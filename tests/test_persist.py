@@ -1,7 +1,11 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
+from deepmatch.embedding import fit_pca, load_embedder, save_embedder
+from deepmatch.network import LayerSpec, NetworkSpec, init_network, load_model, save_model
 from deepmatch.persist import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -9,6 +13,7 @@ from deepmatch.persist import (
     read_model,
     write_model,
 )
+from deepmatch.propensity import LogisticModel, load_propensity_model, save_propensity_model
 
 
 def test_round_trip(tmp_path):
@@ -64,11 +69,50 @@ def test_version_mismatch_rejected(tmp_path):
 
 
 def test_float_values_round_trip_exactly(tmp_path):
-    import numpy as np
-
     rng = np.random.default_rng(5)
     values = (rng.standard_normal(64) * 10.0 ** rng.integers(-8, 9, size=64)).tolist()
     path = tmp_path / "m.json"
     write_model(path, "widget", {"values": values})
     _, doc = read_model(path)
     assert doc["values"] == values
+
+
+def _network_with(value):
+    net = init_network(NetworkSpec((LayerSpec(2, 3, activation="tanh"), LayerSpec(3, 1))), seed=0)
+    net.weights[1][0, 2] = value
+    return net
+
+
+def _pca_with(value):
+    e = fit_pca(np.random.default_rng(0).standard_normal((30, 3)), 2)
+    e.mean[1] = value
+    return e
+
+
+def _logistic_with(value):
+    return LogisticModel(intercept=0.5, coef=np.array([1.0, value]))
+
+
+@pytest.mark.parametrize(
+    "build, save, load, token",
+    [
+        (_network_with, save_model, load_model, "NaN"),
+        (_pca_with, save_embedder, load_embedder, "Infinity"),
+        (_logistic_with, save_propensity_model, load_propensity_model, "-Infinity"),
+    ],
+    ids=["network", "pca", "logistic"],
+)
+def test_non_finite_numbers_refused_on_write_and_rejected_on_read(
+    tmp_path, build, save, load, token
+):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save(build(float(token)), path)
+    assert not path.exists()
+    # a file edited to hold the constant must not load as a model
+    save(build(0.125), path)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("0.125") == 1
+    path.write_text(text.replace("0.125", token), encoding="utf-8")
+    with pytest.raises(ModelFileError, match=re.escape(f"{path}: non-finite number {token}")):
+        load(path)

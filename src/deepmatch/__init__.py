@@ -1,9 +1,9 @@
 """Treatment effect estimation by matching in learned embeddings.
 
-Workflow surface, in the order a study uses it: generate or load a
-dataset, fit an embedder or a propensity model, match across treatment
-arms, then score the estimates against ground truth. The experiments
-module wires these into reproducible pipelines behind the CLI.
+Workflow surface, in the order a study uses it: generate a dataset, fit an
+embedder or a propensity model, match across treatment arms, then score the
+estimates against ground truth. The experiments module wires these into
+reproducible pipelines behind the CLI.
 """
 
 from .data import (
@@ -13,8 +13,6 @@ from .data import (
     duplicate_twins,
     gen_propensity_pairs,
     gen_swiss_roll,
-    load_csv,
-    save_csv,
     train_test_split,
 )
 from .embedding import (
@@ -23,8 +21,6 @@ from .embedding import (
     fit_lle,
     fit_pca,
     lle_weight_matrix,
-    load_embedder,
-    save_embedder,
 )
 from .experiments import (
     ConfigError,
@@ -64,8 +60,6 @@ from .network import (
     Sgd,
     TrainConfig,
     init_network,
-    load_model,
-    save_model,
     train,
 )
 from .propensity import (
@@ -73,9 +67,7 @@ from .propensity import (
     balance_report,
     build_propensity_net,
     holdout_accuracy,
-    load_propensity_model,
     log_odds,
-    save_propensity_model,
 )
 from .propensity import fit as fit_propensity
 
@@ -119,10 +111,6 @@ __all__ = [
     "init_network",
     "ite_error",
     "lle_weight_matrix",
-    "load_csv",
-    "load_embedder",
-    "load_model",
-    "load_propensity_model",
     "log_odds",
     "misassignment_report",
     "nearest_opposite",
@@ -134,10 +122,6 @@ __all__ = [
     "run_gradcheck",
     "run_propensity",
     "run_swissroll",
-    "save_csv",
-    "save_embedder",
-    "save_model",
-    "save_propensity_model",
     "silhouette",
     "threshold_labels",
     "train",

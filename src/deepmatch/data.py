@@ -1,4 +1,4 @@
-"""Simulated observational datasets and their CSV interchange format.
+"""Simulated observational datasets.
 
 Two generators: a noisy swiss-roll manifold with linear potential outcomes
 (covariates live on a 2-D sheet rolled through 3-D space, split into six
@@ -13,7 +13,6 @@ band labels, and for the paired design the twin indices.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -93,10 +92,6 @@ class ObservationalDataset:
     @property
     def n_units(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
 
     def arm_sizes(self) -> tuple[int, int]:
         n1 = int(self.w.sum())
@@ -245,130 +240,6 @@ def duplicate_twins(ds: ObservationalDataset) -> ObservationalDataset:
         y_obs=np.concatenate((ds.y_obs, y_clone)),
         truth=truth,
     )
-
-
-_TRUTH_COLUMNS = ("y0", "y1", "ite_true", "group")
-
-
-def save_csv(ds: ObservationalDataset, path) -> None:
-    """Write the dataset as UTF-8 CSV with header x1..xd, w, y_obs[, truth cols].
-
-    Floats are written with repr precision, so a save/load round trip
-    reproduces every field bit for bit.
-    """
-    d = ds.n_covariates
-    header = [f"x{j + 1}" for j in range(d)] + ["w", "y_obs"]
-    truth = ds.truth
-    if truth is not None:
-        header += list(_TRUTH_COLUMNS)
-        if truth.pair_index is not None:
-            header.append("pair_index")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n_units):
-            row = [repr(float(val)) for val in ds.x[i]]
-            row += [str(int(ds.w[i])), repr(float(ds.y_obs[i]))]
-            if truth is not None:
-                row += [
-                    repr(float(truth.y0[i])),
-                    repr(float(truth.y1[i])),
-                    repr(float(truth.ite_true[i])),
-                    str(int(truth.group[i])),
-                ]
-                if truth.pair_index is not None:
-                    row.append(str(int(truth.pair_index[i])))
-            writer.writerow(row)
-
-
-def _parse_float(token: str, line_no: int, column: str) -> float:
-    try:
-        val = float(token)
-    except ValueError:
-        raise ValueError(
-            f"line {line_no}: column {column!r} is not a number: {token!r}"
-        ) from None
-    if not math.isfinite(val):
-        raise ValueError(f"line {line_no}: column {column!r} is not finite: {token!r}")
-    return val
-
-
-def _parse_int(token: str, line_no: int, column: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(
-            f"line {line_no}: column {column!r} is not an integer: {token!r}"
-        ) from None
-
-
-def load_csv(path) -> ObservationalDataset:
-    """Read a dataset written by save_csv; parse errors name the file line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not any(row for row in rows):
-        raise ValueError(f"{path}: no rows")
-    header = rows[0]
-    x_cols = [c for c in header if c.startswith("x") and c[1:].isdigit()]
-    d = len(x_cols)
-    if d < 1 or x_cols != [f"x{j + 1}" for j in range(d)]:
-        raise ValueError(f"{path}: header must start with columns x1..xd, got {header}")
-    required = x_cols + ["w", "y_obs"]
-    if header[: len(required)] != required:
-        raise ValueError(f"{path}: header must continue with 'w', 'y_obs', got {header}")
-    extras = header[len(required):]
-    if extras == []:
-        has_truth, has_pair = False, False
-    elif extras == list(_TRUTH_COLUMNS):
-        has_truth, has_pair = True, False
-    elif extras == list(_TRUTH_COLUMNS) + ["pair_index"]:
-        has_truth, has_pair = True, True
-    else:
-        raise ValueError(f"{path}: unrecognized trailing columns {extras}")
-
-    data_rows = [(i + 2, row) for i, row in enumerate(rows[1:]) if row]
-    if not data_rows:
-        raise ValueError(f"{path}: no rows")
-
-    n = len(data_rows)
-    x = np.empty((n, d))
-    w = np.empty(n, dtype=int)
-    y_obs = np.empty(n)
-    y0 = np.empty(n)
-    y1 = np.empty(n)
-    ite = np.empty(n)
-    group = np.empty(n, dtype=int)
-    pair = np.empty(n, dtype=int)
-    for k, (line_no, row) in enumerate(data_rows):
-        if len(row) != len(header):
-            raise ValueError(
-                f"line {line_no}: expected {len(header)} fields, found {len(row)}"
-            )
-        for j in range(d):
-            x[k, j] = _parse_float(row[j], line_no, f"x{j + 1}")
-        w_val = _parse_int(row[d], line_no, "w")
-        if w_val not in (0, 1):
-            raise ValueError(f"line {line_no}: column 'w' must be 0 or 1, got {w_val}")
-        w[k] = w_val
-        y_obs[k] = _parse_float(row[d + 1], line_no, "y_obs")
-        if has_truth:
-            y0[k] = _parse_float(row[d + 2], line_no, "y0")
-            y1[k] = _parse_float(row[d + 3], line_no, "y1")
-            ite[k] = _parse_float(row[d + 4], line_no, "ite_true")
-            group[k] = _parse_int(row[d + 5], line_no, "group")
-            if has_pair:
-                pair[k] = _parse_int(row[d + 6], line_no, "pair_index")
-
-    truth = None
-    if has_truth:
-        truth = GroundTruth(
-            y0=y0, y1=y1, ite_true=ite, group=group,
-            pair_index=pair if has_pair else None,
-        )
-    try:
-        return ObservationalDataset(x=x, w=w, y_obs=y_obs, truth=truth)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def train_test_split(n: int, test_fraction: float, seed: int):

@@ -7,8 +7,7 @@ Four ways to map covariates into an m-dimensional space for matching:
 * autoencoder - bottleneck activations of a reconstruction network
 * lle - locally linear embedding, preserving neighbor reconstruction weights
 
-All fitted embedders are immutable, transform deterministically, and persist
-through the shared versioned JSON model format.
+All fitted embedders are immutable and transform deterministically.
 """
 
 from __future__ import annotations
@@ -25,11 +24,8 @@ from .network import (
     NetworkSpec,
     TrainConfig,
     init_network,
-    network_from_payload,
-    network_to_payload,
     train,
 )
-from .persist import read_model, write_model
 
 # standardization floor: columns with no variance pass through unscaled
 _STD_FLOOR = 1e-12
@@ -79,9 +75,6 @@ class Embedder:
     def _map(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _payload(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IdentityEmbedder(Embedder):
@@ -98,9 +91,6 @@ class IdentityEmbedder(Embedder):
 
     def _map(self, x: np.ndarray) -> np.ndarray:
         return x.copy()
-
-    def _payload(self) -> dict:
-        return {"input_dim": self.input_dim}
 
 
 def fit_identity(x: np.ndarray) -> IdentityEmbedder:
@@ -137,14 +127,6 @@ class PcaEmbedder(Embedder):
         if z.ndim != 2 or z.shape[1] != self.m:
             raise ValueError(f"expected n x {self.m} scores, got shape {z.shape}")
         return (z @ self.components.T) * self.scale + self.mean
-
-    def _payload(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "components": self.components.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-        }
 
 
 def _orient_columns(vecs: np.ndarray) -> np.ndarray:
@@ -207,14 +189,6 @@ class AutoencoderEmbedder(Embedder):
         z = (x - self.mean) / self.scale
         out = self.network.predict(z)
         return out * self.scale + self.mean
-
-    def _payload(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "n_encoder_layers": self.n_encoder_layers,
-            "network": network_to_payload(self.network),
-        }
 
 
 def autoencoder_spec(d: int, m: int, hidden: tuple[int, ...] = ()) -> NetworkSpec:
@@ -300,14 +274,6 @@ class LleEmbedder(Embedder):
             out[i] = w @ self.embedding[nbrs[i]]
         return out
 
-    def _payload(self) -> dict:
-        return {
-            "train_x": self.train_x.tolist(),
-            "embedding": self.embedding.tolist(),
-            "k_neighbors": self.k_neighbors,
-            "reg": self.reg,
-        }
-
 
 def _barycentric_weights(point: np.ndarray, neighbors: np.ndarray, reg: float) -> np.ndarray:
     """Weights reconstructing `point` from `neighbors`, summing to 1.
@@ -356,46 +322,3 @@ def fit_lle(x: np.ndarray, m: int, k_neighbors: int = 10, reg: float = 1e-3) -> 
     _, vecs = symmetric_eigh(cost)
     embedding = vecs[:, 1 : m + 1]
     return LleEmbedder(train_x=x, embedding=embedding, k_neighbors=k_neighbors, reg=reg)
-
-
-_EMBEDDER_KINDS = ("identity", "pca", "autoencoder", "lle")
-
-
-def save_embedder(e: Embedder, path) -> None:
-    if e.kind not in _EMBEDDER_KINDS:
-        raise ValueError(f"unknown embedder kind {e.kind!r}")
-    write_model(path, f"embedder/{e.kind}", e._payload())
-
-
-def load_embedder(path) -> Embedder:
-    kind, doc = read_model(path)
-    if not (isinstance(kind, str) and kind.startswith("embedder/")):
-        raise ValueError(f"{path}: not an embedder model (kind {kind!r})")
-    name = kind.split("/", 1)[1]
-    try:
-        if name == "identity":
-            return IdentityEmbedder(input_dim=int(doc["input_dim"]))
-        if name == "pca":
-            return PcaEmbedder(
-                mean=np.asarray(doc["mean"], dtype=float),
-                scale=np.asarray(doc["scale"], dtype=float),
-                components=np.asarray(doc["components"], dtype=float),
-                eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-            )
-        if name == "autoencoder":
-            return AutoencoderEmbedder(
-                mean=np.asarray(doc["mean"], dtype=float),
-                scale=np.asarray(doc["scale"], dtype=float),
-                network=network_from_payload(doc["network"]),
-                n_encoder_layers=int(doc["n_encoder_layers"]),
-            )
-        if name == "lle":
-            return LleEmbedder(
-                train_x=np.asarray(doc["train_x"], dtype=float),
-                embedding=np.asarray(doc["embedding"], dtype=float),
-                k_neighbors=int(doc["k_neighbors"]),
-                reg=float(doc["reg"]),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed embedder payload ({exc})") from None
-    raise ValueError(f"{path}: unknown embedder kind {name!r}")

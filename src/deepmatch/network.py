@@ -9,12 +9,11 @@ harness in `gradcheck` exists precisely to keep these gradients honest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .persist import read_model, write_model
 
 ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh", "softmax")
 LOSSES = ("mse", "categorical_cross_entropy")
@@ -84,6 +83,10 @@ class NetworkSpec:
 class Sgd:
     lr: float = 0.01
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+
 
 @dataclass(frozen=True)
 class Adadelta:
@@ -93,8 +96,8 @@ class Adadelta:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 Optimizer = Union[Sgd, Adadelta]
@@ -264,18 +267,16 @@ class Network:
             d_out = 2.0 * (out - target) / n_batch
             delta = d_out * _activation_deriv(layers[-1].activation, out)
 
-        grad = np.empty(self.param_count)
-        views = self.split(grad)
+        parts = []  # filled last layer first, bias before weights: theta order reversed
         for l in range(len(layers) - 1, -1, -1):
-            dw, db = views[l]
-            dw[...] = delta.T @ cache.inputs[l]
-            db[...] = delta.sum(axis=0)
+            parts.append(delta.sum(axis=0))
+            parts.append((delta.T @ cache.inputs[l]).ravel())
             if l > 0:
                 da = delta @ self.weights[l]
                 if cache.masks[l - 1] is not None:
                     da = da * cache.masks[l - 1]
                 delta = da * _activation_deriv(layers[l - 1].activation, cache.hidden[l - 1])
-        return grad
+        return np.concatenate(parts[::-1])
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -361,45 +362,3 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
             raise TrainingDiverged(f"non-finite parameter at epoch {epoch}")
         history.append(epoch_loss)
     return history
-
-
-def network_to_payload(net: Network) -> dict:
-    return {
-        "spec": {
-            "loss": net.spec.loss,
-            "layers": [
-                {
-                    "fan_in": l.fan_in,
-                    "fan_out": l.fan_out,
-                    "activation": l.activation,
-                    "dropout_rate": l.dropout_rate,
-                }
-                for l in net.spec.layers
-            ],
-        },
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-
-
-def network_from_payload(payload: dict) -> Network:
-    try:
-        spec = NetworkSpec(
-            layers=tuple(LayerSpec(**l) for l in payload["spec"]["layers"]),
-            loss=payload["spec"]["loss"],
-        )
-        weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed network payload: {exc}") from None
-    return Network(spec, weights, biases)
-
-
-def save_model(net: Network, path) -> None:
-    """Write spec, weights and biases as versioned JSON (no optimizer state)."""
-    write_model(path, "network", network_to_payload(net))
-
-
-def load_model(path) -> Network:
-    _, doc = read_model(path, expected_kind="network")
-    return network_from_payload(doc)

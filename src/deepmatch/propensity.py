@@ -3,10 +3,9 @@
 Two interchangeable scorers for P(w=1 | features): a logistic regression fit
 by full-batch gradient descent with backtracking line search, and a
 five-layer dense softmax classifier trained with adadelta. Both expose
-predict() returning probabilities in [0,1] and persist through the shared
-model format. balance_report() computes standardized mean differences
-overall and within score strata, the usual check that matching on the score
-actually balances the covariates.
+predict() returning probabilities in [0,1]. balance_report() computes
+standardized mean differences overall and within score strata, the usual
+check that matching on the score actually balances the covariates.
 """
 
 from __future__ import annotations
@@ -22,11 +21,8 @@ from .network import (
     NetworkSpec,
     TrainConfig,
     init_network,
-    network_from_payload,
-    network_to_payload,
     train,
 )
-from .persist import read_model, write_model
 
 PROPENSITY_WIDTHS = (10, 10, 10, 10, 2)
 PROPENSITY_DROPOUT = 0.3
@@ -68,8 +64,6 @@ class LogisticModel:
     intercept: float
     coef: np.ndarray
 
-    kind = "logistic"
-
     @property
     def input_dim(self) -> int:
         return self.coef.shape[0]
@@ -85,8 +79,6 @@ class PropensityNetModel:
     """Softmax classifier; the score is the class-1 (treated) probability."""
 
     network: Network
-
-    kind = "propensity_net"
 
     @property
     def input_dim(self) -> int:
@@ -292,6 +284,8 @@ def balance_report(x, w, scores, n_strata: int = 5) -> BalanceReport:
         raise ValueError(f"n_strata must be >= 1, got {n_strata}")
     if scores.shape != w.shape or scores.shape[0] != x.shape[0]:
         raise ValueError("x, w and scores must be row-aligned")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     overall = tuple(_smd_one(x[:, j], w) for j in range(x.shape[1]))
     score_smd = _smd_one(scores, w)
 
@@ -315,29 +309,3 @@ def balance_report(x, w, scores, n_strata: int = 5) -> BalanceReport:
             StratumBalance(score_lo=lo, score_hi=hi, n_control=n0, n_treated=n1, smd=smd)
         )
     return BalanceReport(covariate_smd=overall, score_smd=score_smd, strata=tuple(strata))
-
-
-def save_propensity_model(model: PropensityModel, path) -> None:
-    if model.kind == "logistic":
-        write_model(
-            path,
-            "propensity/logistic",
-            {"intercept": model.intercept, "coef": model.coef.tolist()},
-        )
-    else:
-        write_model(path, "propensity/net", {"network": network_to_payload(model.network)})
-
-
-def load_propensity_model(path) -> PropensityModel:
-    kind, doc = read_model(path)
-    try:
-        if kind == "propensity/logistic":
-            return LogisticModel(
-                intercept=float(doc["intercept"]),
-                coef=np.asarray(doc["coef"], dtype=float),
-            )
-        if kind == "propensity/net":
-            return PropensityNetModel(network=network_from_payload(doc["network"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed propensity payload ({exc})") from None
-    raise ValueError(f"{path}: not a propensity model (kind {kind!r})")

@@ -10,9 +10,7 @@ from deepmatch.data import (
     duplicate_twins,
     gen_propensity_pairs,
     gen_swiss_roll,
-    load_csv,
     roll_surface,
-    save_csv,
     train_test_split,
 )
 from oracles import knn_scan
@@ -228,91 +226,6 @@ class TestDatasetValidation:
         )
         with pytest.raises(ValueError, match="opposite"):
             ObservationalDataset(x=x, w=w, y_obs=np.zeros(2), truth=t)
-
-
-class TestCsv:
-    def test_round_trip_with_full_truth(self, tmp_path):
-        ds = gen_propensity_pairs(40, 0.02, seed=5)
-        path = tmp_path / "pairs.csv"
-        save_csv(ds, path)
-        back = load_csv(path)
-        assert np.array_equal(back.x, ds.x)
-        assert np.array_equal(back.w, ds.w)
-        assert np.array_equal(back.y_obs, ds.y_obs)
-        assert np.array_equal(back.truth.y0, ds.truth.y0)
-        assert np.array_equal(back.truth.pair_index, ds.truth.pair_index)
-
-    def test_round_trip_without_pairs(self, tmp_path):
-        ds = gen_swiss_roll(SwissRollConfig(n=30, seed=6))
-        path = tmp_path / "roll.csv"
-        save_csv(ds, path)
-        back = load_csv(path)
-        assert np.array_equal(back.x, ds.x)
-        assert np.array_equal(back.truth.ite_true, ds.truth.ite_true)
-        assert back.truth.pair_index is None
-
-    def test_round_trip_without_truth(self, tmp_path):
-        ds = ObservationalDataset(
-            x=np.array([[0.25, -1.5], [3.0, 2.0]]),
-            w=np.array([1, 0]),
-            y_obs=np.array([0.5, -0.5]),
-        )
-        path = tmp_path / "bare.csv"
-        save_csv(ds, path)
-        back = load_csv(path)
-        assert back.truth is None
-        assert np.array_equal(back.x, ds.x)
-
-    def test_header_written(self, tmp_path):
-        ds = gen_swiss_roll(SwissRollConfig(n=12, seed=7))
-        path = tmp_path / "roll.csv"
-        save_csv(ds, path)
-        header = path.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "x1,x2,x3,w,y_obs,y0,y1,ite_true,group"
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError, match="no rows"):
-            load_csv(path)
-
-    def test_header_only_rejected(self, tmp_path):
-        path = tmp_path / "header.csv"
-        path.write_text("x1,w,y_obs\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="no rows"):
-            load_csv(path)
-
-    def test_bad_treatment_names_line(self, tmp_path):
-        rows = ["x1,w,y_obs"] + [f"{i}.0,0,1.0" for i in range(5)]
-        rows[3] = "2.0,2,1.0"  # file line 4
-        path = tmp_path / "bad.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 4.*'w'"):
-            load_csv(path)
-
-    def test_non_numeric_value_names_line_and_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x1,w,y_obs\n1.0,0,oops\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2.*'y_obs'"):
-            load_csv(path)
-
-    def test_short_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x1,x2,w,y_obs\n1.0,2.0,0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
-            load_csv(path)
-
-    def test_unknown_columns_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x1,w,y_obs,bonus\n1.0,0,2.0,3.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bonus"):
-            load_csv(path)
-
-    def test_missing_covariates_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("w,y_obs\n0,1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="x1"):
-            load_csv(path)
 
 
 class TestSplits:

@@ -1,22 +1,18 @@
-"""Embedder fits, transforms, and model persistence."""
+"""Embedder fits and transforms."""
 
 import numpy as np
 import pytest
 
 from deepmatch.data import SwissRollConfig, gen_swiss_roll
 from deepmatch.embedding import (
-    AutoencoderEmbedder,
     fit_autoencoder,
     fit_identity,
     fit_lle,
     fit_pca,
     lle_weight_matrix,
-    load_embedder,
-    save_embedder,
 )
 from deepmatch.linalg import jacobi_eigh
 from deepmatch.network import TrainConfig
-from deepmatch.persist import write_model
 
 
 def plane_data(n=200, seed=0, noise=0.0):
@@ -206,38 +202,6 @@ class TestLle:
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
         emb = fit_lle(x, 2, k_neighbors=6, reg=1e-3)
         assert np.all(np.isfinite(emb.embedding))
-
-
-class TestPersistence:
-    def test_round_trips_bitwise(self, tmp_path):
-        x = plane_data(n=40, seed=40)
-        query = plane_data(n=15, seed=41)
-        embedders = [
-            fit_identity(x),
-            fit_pca(x, 2),
-            fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=10, seed=0)),
-            fit_lle(x, 2, k_neighbors=5, reg=1e-3),
-        ]
-        for emb in embedders:
-            path = tmp_path / f"{emb.kind}.json"
-            save_embedder(emb, path)
-            loaded = load_embedder(path)
-            assert loaded.kind == emb.kind
-            assert loaded.m == emb.m
-            assert np.array_equal(loaded.transform(query), emb.transform(query))
-        assert isinstance(load_embedder(tmp_path / "autoencoder.json"), AutoencoderEmbedder)
-
-    def test_load_rejects_non_embedder(self, tmp_path):
-        path = tmp_path / "other.json"
-        write_model(path, "something-else", {"a": 1})
-        with pytest.raises(ValueError):
-            load_embedder(path)
-
-    def test_load_rejects_malformed_payload(self, tmp_path):
-        path = tmp_path / "bad.json"
-        write_model(path, "embedder/pca", {"mean": [0.0]})
-        with pytest.raises(ValueError):
-            load_embedder(path)
 
 
 class TestTransformValidation:

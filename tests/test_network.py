@@ -17,8 +17,6 @@ from deepmatch.network import (
     adadelta_update,
     apply_dropout,
     init_network,
-    load_model,
-    save_model,
     train,
 )
 from deepmatch.propensity import build_propensity_net
@@ -287,8 +285,12 @@ class TestAdadelta:
     def test_rho_and_eps_validated(self):
         with pytest.raises(ValueError, match="rho"):
             Adadelta(rho=1.0)
-        with pytest.raises(ValueError, match="eps"):
-            Adadelta(eps=0.0)
+        for eps in (0.0, -1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                Adadelta(eps=eps)
+        for lr in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lr"):
+                Sgd(lr=lr)
 
 
 def plane_points(n=200, seed=0, scale=1.0):
@@ -378,30 +380,3 @@ class TestTrain:
         net = init_network(NetworkSpec((LayerSpec(2, 1),)), seed=0)
         with pytest.raises(ValueError, match="rows"):
             train(net, np.zeros((3, 2)), np.zeros((4, 1)), TrainConfig(epochs=1))
-
-
-class TestPersistence:
-    def test_round_trip_outputs_bitwise_equal(self, tmp_path):
-        spec = classifier_spec()
-        net = init_network(spec, seed=12)
-        path = tmp_path / "net.json"
-        save_model(net, path)
-        loaded = load_model(path)
-        probe = np.random.default_rng(6).standard_normal((9, 2))
-        assert np.array_equal(net.predict(probe), loaded.predict(probe))
-        assert loaded.spec == net.spec
-
-    def test_loaded_classifier_reports_382_params(self, tmp_path):
-        net = init_network(classifier_spec(), seed=0)
-        path = tmp_path / "net.json"
-        save_model(net, path)
-        assert load_model(path).param_count == 382
-
-    def test_truncated_file_rejected(self, tmp_path):
-        net = init_network(classifier_spec(), seed=0)
-        path = tmp_path / "net.json"
-        save_model(net, path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[: len(text) // 3], encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_model(path)

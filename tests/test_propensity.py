@@ -14,9 +14,7 @@ from deepmatch.propensity import (
     fit_logistic,
     fit_propensity_net,
     holdout_accuracy,
-    load_propensity_model,
     log_odds,
-    save_propensity_model,
 )
 from deepmatch.network import init_network
 
@@ -264,31 +262,8 @@ class TestBalanceReport:
             balance_report(x, np.zeros(9), np.zeros(9))
         with pytest.raises(ValueError):
             balance_report(x, np.zeros(10), np.zeros(10), n_strata=0)
-
-
-class TestPersistence:
-    def test_logistic_round_trip_bitwise(self, tmp_path):
-        x, w = logistic_sample(120, (0.1, 0.9, -0.4), 21)
-        model = fit_logistic(x, w)
-        path = tmp_path / "logistic.json"
-        save_propensity_model(model, path)
-        loaded = load_propensity_model(path)
-        assert isinstance(loaded, LogisticModel)
-        assert np.array_equal(loaded.predict(x), model.predict(x))
-
-    def test_net_round_trip_bitwise(self, tmp_path):
-        x, w = logistic_sample(100, (0.0, 1.5), 22)
-        model = fit_propensity_net(x, w, PropensityFitConfig(epochs=5, seed=3))
-        path = tmp_path / "net.json"
-        save_propensity_model(model, path)
-        loaded = load_propensity_model(path)
-        assert isinstance(loaded, PropensityNetModel)
-        assert np.array_equal(loaded.predict(x), model.predict(x))
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        from deepmatch.persist import write_model
-
-        path = tmp_path / "other.json"
-        write_model(path, "embedder/pca", {})
-        with pytest.raises(ValueError, match="not a propensity model"):
-            load_propensity_model(path)
+        for bad in (np.nan, np.inf):
+            scores = np.linspace(0.1, 0.9, 10)
+            scores[3] = bad
+            with pytest.raises(ValueError, match="scores must be finite"):
+                balance_report(x, np.arange(10) % 2, scores)

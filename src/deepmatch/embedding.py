@@ -5,7 +5,9 @@ Four ways to map covariates into an m-dimensional space for matching:
 * identity - raw covariates, the no-reduction baseline
 * pca - principal components of the standardized data (Jacobi eigensolver)
 * autoencoder - bottleneck activations of a reconstruction network
-* lle - locally linear embedding, preserving neighbor reconstruction weights
+* lle - locally linear embedding, preserving neighbor reconstruction weights;
+  its cost matrix stays sparse and is solved by block-tridiagonal
+  shift-invert iteration, so no n x n array is formed
 
 All fitted embedders are immutable and transform deterministically.
 """
@@ -241,6 +243,18 @@ def fit_autoencoder(
     )
 
 
+class LleGraphDisconnected(ValueError):
+    """The fit data's neighbour graph has more than one connected component.
+
+    LLE's cost matrix then has one null vector per component, so its bottom
+    eigenvectors mark components instead of giving coordinates.
+    """
+
+
+class LleDidNotConverge(RuntimeError):
+    """Inverse iteration hit its sweep cap before the residual tolerance."""
+
+
 @dataclass(frozen=True)
 class LleEmbedder(Embedder):
     """Locally linear embedding with weight-based out-of-sample mapping.
@@ -250,12 +264,18 @@ class LleEmbedder(Embedder):
     least-squares weights used during fitting, and averaging the neighbors'
     embedding coordinates with those weights. A point coinciding with a
     training point inherits that point's embedding directly.
+
+    `eigenvalues` holds the bottom Ritz values of the cost matrix, ascending
+    (the first belongs to the discarded constant vector); `sweeps` counts the
+    inverse-iteration sweeps that reached them.
     """
 
     train_x: np.ndarray
     embedding: np.ndarray
     k_neighbors: int
     reg: float
+    eigenvalues: np.ndarray
+    sweeps: int
 
     kind = "lle"
 
@@ -265,49 +285,225 @@ class LleEmbedder(Embedder):
 
     def _map(self, x: np.ndarray) -> np.ndarray:
         nbrs, d = knn(x, self.train_x, self.k_neighbors)
-        out = np.empty((x.shape[0], self.m))
-        for i in range(x.shape[0]):
-            if d[i, 0] == 0.0:
-                out[i] = self.embedding[nbrs[i, 0]]
-                continue
-            w = _barycentric_weights(x[i], self.train_x[nbrs[i]], self.reg)
-            out[i] = w @ self.embedding[nbrs[i]]
+        out = self.embedding[nbrs[:, 0]]
+        far = d[:, 0] > 0.0
+        w = _barycentric_weights(x[far], self.train_x[nbrs[far]], self.reg)
+        out[far] = (w[:, None, :] @ self.embedding[nbrs[far]])[:, 0]
         return out
 
 
-def _barycentric_weights(point: np.ndarray, neighbors: np.ndarray, reg: float) -> np.ndarray:
-    """Weights reconstructing `point` from `neighbors`, summing to 1.
+def _barycentric_weights(points: np.ndarray, neighbors: np.ndarray, reg: float) -> np.ndarray:
+    """Weights reconstructing each of n points from its k neighbours; rows sum to 1.
 
-    Solves the local Gram system (G + reg*trace(G)*I) w = 1 and normalizes;
-    the Tikhonov term keeps the solve well-posed when neighbors are affinely
-    dependent (including exact duplicates).
+    `points` is n x d and `neighbors` n x k x d. Every point solves its local
+    Gram system (G + reg*trace(G)*I) w = 1, all in one stacked solve, and
+    normalizes; the Tikhonov term keeps the solve well-posed when neighbours
+    are affinely dependent (including exact duplicates).
     """
-    shifted = neighbors - point
-    gram = shifted @ shifted.T
-    trace = np.trace(gram)
-    bump = reg * trace if trace > 0 else reg
-    gram = gram + bump * np.eye(gram.shape[0])
-    w = np.linalg.solve(gram, np.ones(gram.shape[0]))
-    return w / w.sum()
+    shifted = neighbors - points[:, None, :]
+    gram = shifted @ shifted.transpose(0, 2, 1)
+    trace = np.trace(gram, axis1=1, axis2=2)
+    bump = np.where(trace > 0, reg * trace, reg)
+    gram = gram + bump[:, None, None] * np.eye(gram.shape[1])
+    w = np.linalg.solve(gram, np.ones(gram.shape[:2] + (1,)))[:, :, 0]
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def lle_weight_matrix(x: np.ndarray, k_neighbors: int, reg: float) -> np.ndarray:
-    """Row-stochastic n x n matrix of neighbor reconstruction weights."""
+def lle_weight_matrix(x: np.ndarray, k_neighbors: int, reg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The row-stochastic n x n reconstruction weights W, in sparse form.
+
+    Returns `(neighbors, weights)`, both n x k: row i of W holds weights[i, j]
+    at column neighbors[i, j] and zeros elsewhere, its diagonal included.
+    """
     n = x.shape[0]
-    w = np.zeros((n, n))
     # k+1 neighbours, less i wherever ties place it (or the last, if i lost a tie at 0)
     nearest, _ = knn(x, x, k_neighbors + 1)
-    for i in range(n):
-        nbrs = nearest[i][nearest[i] != i][:k_neighbors]
-        w[i, nbrs] = _barycentric_weights(x[i], x[nbrs], reg)
-    return w
+    keep = nearest != np.arange(n)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    neighbors = nearest[keep].reshape(n, k_neighbors)
+    return neighbors, _barycentric_weights(x, x[neighbors], reg)
+
+
+@dataclass(frozen=True)
+class _SparseSymmetric:
+    """An n x n symmetric matrix in compressed-row form, columns sorted per row."""
+
+    indptr: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def __matmul__(self, q: np.ndarray) -> np.ndarray:
+        # every row stores its diagonal, so no row is empty
+        return np.add.reduceat(self.values[:, None] * q[self.columns], self.indptr[:-1], axis=0)
+
+    def row_entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, p) for every stored entry of the given rows: entry p of
+        `columns`/`values` lies in row rows[i]."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        first = np.cumsum(counts) - counts
+        at = np.repeat(starts - first, counts) + np.arange(counts.sum())
+        return np.repeat(np.arange(rows.size), counts), at
+
+
+def _lle_cost(neighbors: np.ndarray, weights: np.ndarray) -> _SparseSymmetric:
+    """M = (I-W)'(I-W), summed from the outer products of the rows of I-W.
+
+    Row i of I-W is 1 at column i and -weights[i] at neighbors[i], so M is
+    the sum of n (k+1)^2 terms; one sort groups them by (row, column).
+    """
+    n = neighbors.shape[0]
+    cols = np.hstack([np.arange(n)[:, None], neighbors])
+    vals = np.hstack([np.ones((n, 1)), -weights])
+    keys = (cols[:, :, None] * n + cols[:, None, :]).ravel()
+    terms = (vals[:, :, None] * vals[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys, terms = keys[order], terms[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    rows, columns = np.divmod(keys[starts], n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return _SparseSymmetric(indptr, columns, np.add.reduceat(terms, starts))
+
+
+def _bfs_levels(cost: _SparseSymmetric, root: int) -> list:
+    """Level sets of a breadth-first search of the graph of `cost` from `root`."""
+    seen = np.zeros(cost.n, dtype=bool)
+    seen[root] = True
+    levels = [np.array([root])]
+    while True:
+        nxt = np.unique(cost.columns[cost.row_entries(levels[-1])[1]])
+        nxt = nxt[~seen[nxt]]
+        if nxt.size == 0:
+            return levels
+        seen[nxt] = True
+        levels.append(nxt)
+
+
+def _level_sets(cost: _SparseSymmetric) -> list:
+    """BFS level sets from a pseudo-peripheral node (George & Liu 1979).
+
+    Every edge of the graph joins a level to itself or to the next, so with
+    the rows ordered level by level `cost` is block tridiagonal, the levels
+    its blocks. A deep search makes thin levels, hence the peripheral root.
+    Raises LleGraphDisconnected when the search cannot reach every node.
+    """
+    levels = _bfs_levels(cost, 0)
+    if sum(level.size for level in levels) < cost.n:
+        unseen = np.ones(cost.n, dtype=bool)
+        components = 0
+        while unseen.any():
+            for level in _bfs_levels(cost, int(np.argmax(unseen))):
+                unseen[level] = False
+            components += 1
+        raise LleGraphDisconnected(
+            f"the neighbour graph has {components} connected components; LLE needs one "
+            "(raise k_neighbors)"
+        )
+    degree = np.diff(cost.indptr)
+    while True:
+        last = levels[-1]
+        deeper = _bfs_levels(cost, int(last[np.argmin(degree[last])]))
+        if len(deeper) <= len(levels):
+            return levels
+        levels = deeper
+
+
+# M is positive semi-definite with the constant null vector, so M - sigma*I
+# with sigma just below 0 is positive definite and shift-invert targets 0.
+_SIGMA = -1e-9
+_MAX_SWEEPS = 100
+# residual ||Mq - theta q|| per wanted Ritz pair, relative to ||M||; rounding
+# in Mq floors it near 1e-16, so this leaves a factor of 100
+_RESIDUAL_TOL = 1e-14
+
+
+class _BlockCholesky:
+    """Factor L L' = M - sigma*I of a block-tridiagonal M, blocks = BFS levels.
+
+    L is block lower bidiagonal. Its diagonal blocks are kept inverted, so a
+    solve is two passes of small matrix products over the levels.
+    """
+
+    def __init__(self, cost: _SparseSymmetric, levels: list):
+        sizes = np.array([level.size for level in levels])
+        start = np.cumsum(sizes) - sizes
+        self.perm = np.concatenate(levels)
+        self.bounds = list(zip(start, start + sizes))
+        pos = np.empty(cost.n, dtype=np.intp)
+        pos[self.perm] = np.arange(cost.n)
+        self.inverses, self.lowers = [], []
+        for lev, (lo, hi) in enumerate(self.bounds):
+            # this level's rows, from the previous level's first column on; the
+            # columns of the next level are the transpose of its own coupling
+            first = self.bounds[lev - 1][0] if lev else lo
+            r, at = cost.row_entries(levels[lev])
+            c = pos[cost.columns[at]]
+            left = c < hi
+            strip = np.zeros((hi - lo, hi - first))
+            strip[r[left], c[left] - first] = cost.values[at[left]]
+            schur = strip[:, lo - first :] - _SIGMA * np.eye(hi - lo)
+            if lev:
+                lower = strip[:, : lo - first] @ self.inverses[-1].T
+                self.lowers.append(lower)
+                schur = schur - lower @ lower.T
+            self.inverses.append(np.linalg.solve(np.linalg.cholesky(schur), np.eye(hi - lo)))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(M - sigma*I)^-1 b for an n x r block b."""
+        y = []
+        for lev, (lo, hi) in enumerate(self.bounds):
+            rhs = b[self.perm[lo:hi]]
+            if lev:
+                rhs = rhs - self.lowers[lev - 1] @ y[-1]
+            y.append(self.inverses[lev] @ rhs)
+        out = np.empty_like(b)
+        z = None
+        for lev in range(len(self.bounds) - 1, -1, -1):
+            lo, hi = self.bounds[lev]
+            rhs = y[lev] if z is None else y[lev] - self.lowers[lev].T @ z
+            z = self.inverses[lev].T @ rhs
+            out[self.perm[lo:hi]] = z
+        return out
+
+
+def _bottom_eigenpairs(cost: _SparseSymmetric, factor: _BlockCholesky, m: int):
+    """The m+1 smallest eigenpairs of `cost` by block inverse iteration.
+
+    Iterates on m+4 columns (all n if fewer); each sweep solves with the
+    shift-inverted factor, orthonormalizes by QR and ends with Rayleigh-Ritz.
+    Returns (Ritz values, Ritz vectors, sweeps) once every wanted pair's
+    residual is below tolerance; raises LleDidNotConverge at the sweep cap.
+    """
+    norm = np.add.reduceat(np.abs(cost.values), cost.indptr[:-1]).max()
+    x = np.random.default_rng(0).standard_normal((cost.n, min(m + 4, cost.n)))
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        q, _ = np.linalg.qr(factor.solve(x))
+        mq = cost @ q
+        theta, s = symmetric_eigh(q.T @ mq)
+        x = q @ s
+        residual = np.linalg.norm(mq @ s[:, : m + 1] - x[:, : m + 1] * theta[: m + 1], axis=0).max()
+        if residual <= _RESIDUAL_TOL * norm:
+            return theta, x, sweep
+    raise LleDidNotConverge(
+        f"inverse iteration left residual {residual:.3e} after {_MAX_SWEEPS} sweeps "
+        f"(tolerance {_RESIDUAL_TOL * norm:.3e})"
+    )
 
 
 def fit_lle(x: np.ndarray, m: int, k_neighbors: int = 10, reg: float = 1e-3) -> LleEmbedder:
-    """Standard LLE: neighbor weights, then the small eigenvectors of (I-W)'(I-W).
+    """Standard LLE: neighbor weights, then the small eigenvectors of M = (I-W)'(I-W).
 
-    The embedding is eigenvectors 2..m+1 (ascending eigenvalues); the first,
-    constant eigenvector for eigenvalue 0 is discarded.
+    M is assembled sparse, its rows ordered by BFS level sets so that it is
+    block tridiagonal, and M - sigma*I (sigma just below 0) is factored by
+    block Cholesky; block inverse iteration on that factor finds the bottom
+    eigenvectors. No n x n array is formed. The embedding is eigenvectors
+    2..m+1 (ascending eigenvalues), each column's largest-magnitude entry
+    positive; the first, constant eigenvector for eigenvalue 0 is discarded.
+    Raises LleGraphDisconnected when the neighbour graph is not connected.
     """
     x = _check_fit_input(x, m)
     if reg <= 0:
@@ -316,9 +512,14 @@ def fit_lle(x: np.ndarray, m: int, k_neighbors: int = 10, reg: float = 1e-3) -> 
         raise ValueError(f"k_neighbors must be >= m+1 = {m + 1}, got {k_neighbors}")
     if k_neighbors >= x.shape[0]:
         raise ValueError(f"k_neighbors must be < n = {x.shape[0]}, got {k_neighbors}")
-    w = lle_weight_matrix(x, k_neighbors, reg)
-    iw = np.eye(x.shape[0]) - w
-    cost = iw.T @ iw
-    _, vecs = symmetric_eigh(cost)
-    embedding = vecs[:, 1 : m + 1]
-    return LleEmbedder(train_x=x, embedding=embedding, k_neighbors=k_neighbors, reg=reg)
+    cost = _lle_cost(*lle_weight_matrix(x, k_neighbors, reg))
+    factor = _BlockCholesky(cost, _level_sets(cost))
+    values, vecs, sweeps = _bottom_eigenpairs(cost, factor, m)
+    return LleEmbedder(
+        train_x=x,
+        embedding=_orient_columns(vecs[:, 1 : m + 1]),
+        k_neighbors=k_neighbors,
+        reg=reg,
+        eigenvalues=values,
+        sweeps=sweeps,
+    )

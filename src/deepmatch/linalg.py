@@ -2,7 +2,8 @@
 
 Small and self-contained: intended for the low-dimensional covariance
 matrices that PCA diagonalizes (d <= ~50) and as an independent cross-check
-for larger eigenproblems solved elsewhere.
+for eigenproblems solved elsewhere. `symmetric_eigh` is the LAPACK route for
+the small projected problems of LLE's Rayleigh-Ritz step.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def jacobi_eigh(
 def symmetric_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK-backed symmetric eigendecomposition (ascending eigenvalues).
 
-    Used where the problem size makes Jacobi sweeps impractical; `jacobi_eigh`
-    stays the reference implementation for small matrices.
+    Its caller is the Rayleigh-Ritz step of LLE's inverse iteration, which
+    diagonalizes the cost matrix projected onto m+4 columns once per sweep;
+    `jacobi_eigh` stays the reference implementation for small matrices.
     """
     return np.linalg.eigh(np.asarray(a, dtype=float))

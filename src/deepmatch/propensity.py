@@ -107,8 +107,12 @@ class PropensityFitConfig:
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0,1), got {self.test_fraction}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -141,3 +141,39 @@ def train_per_tensor(net, x, y, cfg):
                     t -= opt.lr * g
         history.append(float(np.mean(losses)))
     return history
+
+
+def barycentric_weights_loop(points, neighbors, reg):
+    """LLE reconstruction weights one point at a time, rows summing to 1.
+
+    For each point, the local Gram system (G + reg*trace(G)*I) w = 1 of its
+    shifted neighbours is formed and solved on its own.
+    """
+    out = np.empty(neighbors.shape[:2])
+    for i in range(points.shape[0]):
+        shifted = neighbors[i] - points[i]
+        gram = shifted @ shifted.T
+        trace = np.trace(gram)
+        bump = reg * trace if trace > 0 else reg
+        gram = gram + bump * np.eye(gram.shape[0])
+        w = np.linalg.solve(gram, np.ones(gram.shape[0]))
+        out[i] = w / w.sum()
+    return out
+
+
+def lle_dense_weights(neighbors, weights):
+    """The dense n x n weight matrix of LLE's sparse (neighbors, weights) pair."""
+    n = neighbors.shape[0]
+    w = np.zeros((n, n))
+    for i in range(n):
+        w[i, neighbors[i]] = weights[i]
+    return w
+
+
+def lle_dense_eigh(neighbors, weights):
+    """Dense LLE eigensolve: M = (I-W)'(I-W) formed in full, then LAPACK eigh.
+
+    Returns every eigenvalue (ascending) and eigenvector column of M.
+    """
+    iw = np.eye(neighbors.shape[0]) - lle_dense_weights(neighbors, weights)
+    return np.linalg.eigh(iw.T @ iw)

@@ -29,7 +29,7 @@ from deepmatch.metrics import silhouette
 from deepmatch.network import adadelta_update
 from deepmatch.propensity import build_propensity_net
 
-from oracles import effects_scan, eigvals_3x3_closed_form, knn_scan
+from oracles import effects_scan, eigvals_3x3_closed_form, knn_scan, lle_dense_weights
 
 N_STUDY_SEEDS = 5
 STUDY_BUDGET_SECONDS = 300.0
@@ -147,12 +147,12 @@ def test_pca_plane_reconstruction_and_eigenvalue_oracle():
 def test_lle_weight_rows_and_dense_eigen_oracle():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(40, 3))
-    w = lle_weight_matrix(x, k_neighbors=6, reg=1e-3)
+    w = lle_dense_weights(*lle_weight_matrix(x, k_neighbors=6, reg=1e-3))
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
 
     x20 = np.random.default_rng(22).normal(size=(20, 3))
     emb = fit_lle(x20, 2, k_neighbors=5, reg=1e-3)
-    iw = np.eye(20) - lle_weight_matrix(x20, 5, 1e-3)
+    iw = np.eye(20) - lle_dense_weights(*lle_weight_matrix(x20, 5, 1e-3))
     vals, vecs = jacobi_eigh(iw.T @ iw)
     assert vals[3] - vals[2] > 1e-3, "degenerate spectrum would make the check ill-posed"
     oracle = vecs[:, 1:3]

@@ -1,10 +1,15 @@
 """Embedder fits and transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from deepmatch import embedding
 from deepmatch.data import SwissRollConfig, gen_swiss_roll
 from deepmatch.embedding import (
+    LleDidNotConverge,
+    LleGraphDisconnected,
     fit_autoencoder,
     fit_identity,
     fit_lle,
@@ -12,7 +17,9 @@ from deepmatch.embedding import (
     lle_weight_matrix,
 )
 from deepmatch.linalg import jacobi_eigh
+from deepmatch.matching import knn
 from deepmatch.network import TrainConfig
+from oracles import barycentric_weights_loop, lle_dense_eigh, lle_dense_weights
 
 
 def plane_data(n=200, seed=0, noise=0.0):
@@ -145,25 +152,25 @@ class TestAutoencoder:
 class TestLle:
     def test_weight_rows_sum_to_one(self):
         x = np.random.default_rng(20).normal(size=(40, 3))
-        w = lle_weight_matrix(x, k_neighbors=6, reg=1e-3)
+        w = lle_dense_weights(*lle_weight_matrix(x, k_neighbors=6, reg=1e-3))
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
         assert np.all(np.diag(w) == 0.0)
         assert np.all((w != 0).sum(axis=1) <= 6)
 
     def test_constant_vector_in_cost_null_space(self):
         x = np.random.default_rng(21).normal(size=(30, 3))
-        w = lle_weight_matrix(x, k_neighbors=5, reg=1e-3)
+        w = lle_dense_weights(*lle_weight_matrix(x, k_neighbors=5, reg=1e-3))
         iw = np.eye(30) - w
         cost = iw.T @ iw
         assert np.abs(cost @ np.ones(30)).max() < 1e-8
 
     def test_small_instance_matches_independent_eigensolver(self):
-        # same cost matrix, two independent eigensolver routes (LAPACK in
-        # production, cyclic Jacobi here); embeddings must agree up to an
-        # orthogonal transform, so compare their Gram matrices
+        # same cost matrix, two independent eigensolver routes (sparse inverse
+        # iteration in production, dense cyclic Jacobi here); embeddings must
+        # agree up to an orthogonal transform, so compare their Gram matrices
         x = np.random.default_rng(22).normal(size=(20, 3))
         emb = fit_lle(x, 2, k_neighbors=5, reg=1e-3)
-        w = lle_weight_matrix(x, 5, 1e-3)
+        w = lle_dense_weights(*lle_weight_matrix(x, 5, 1e-3))
         iw = np.eye(20) - w
         cost = iw.T @ iw
         vals, vecs = jacobi_eigh(cost)
@@ -197,11 +204,69 @@ class TestLle:
         rng = np.random.default_rng(26)
         x = rng.normal(size=(20, 3))
         x = np.vstack([x, x[:5]])
-        w = lle_weight_matrix(x, k_neighbors=6, reg=1e-3)
+        w = lle_dense_weights(*lle_weight_matrix(x, k_neighbors=6, reg=1e-3))
         assert np.all(np.isfinite(w))
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
         emb = fit_lle(x, 2, k_neighbors=6, reg=1e-3)
         assert np.all(np.isfinite(emb.embedding))
+
+    def test_stacked_weights_equal_per_row_loop(self):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(60, 3))
+        for data in (x, np.vstack([x, x[:12]])):
+            nbrs, w = lle_weight_matrix(data, 6, 1e-3)
+            assert np.array_equal(w, barycentric_weights_loop(data, data[nbrs], 1e-3))
+        # out-of-sample queries, the last a zero-distance twin of a training point
+        emb = fit_lle(x, 2, k_neighbors=6, reg=1e-3)
+        queries = np.vstack([rng.normal(size=(15, 3)), x[4:5]])
+        nbrs, d = knn(queries, x, 6)
+        w = barycentric_weights_loop(queries, x[nbrs], 1e-3)
+        want = np.array([
+            emb.embedding[nb[0]] if di[0] == 0.0 else wi @ emb.embedding[nb]
+            for nb, di, wi in zip(nbrs, d, w)
+        ])
+        assert np.array_equal(emb.transform(queries), want)
+        assert np.array_equal(want[-1], emb.embedding[4])
+
+    def test_sparse_solve_matches_dense_oracle_on_swiss_roll(self):
+        x = gen_swiss_roll(SwissRollConfig(n=600, seed=3)).x
+        emb = fit_lle(x, 2, k_neighbors=10, reg=1e-3)
+        vals, vecs = lle_dense_eigh(*lle_weight_matrix(x, 10, 1e-3))
+        assert vals[3] - vals[2] > 1e-7, "degenerate spectrum would make the check ill-posed"
+        oracle = vecs[:, 1:3]
+        assert np.abs(emb.embedding @ emb.embedding.T - oracle @ oracle.T).max() < 1e-6
+        assert np.abs(emb.eigenvalues[:3] - vals[:3]).max() < 1e-12
+
+    def test_disconnected_neighbour_graph_rejected(self):
+        blob = np.random.default_rng(28).normal(size=(30, 3))
+        x = np.vstack([blob, blob + 100.0])
+        with pytest.raises(LleGraphDisconnected, match="2 connected components"):
+            fit_lle(x, 2, k_neighbors=6)
+
+    def test_refit_identical_with_oriented_signs(self):
+        x = gen_swiss_roll(SwissRollConfig(n=300, seed=5)).x
+        a, b = fit_lle(x, 2), fit_lle(x, 2)
+        assert np.array_equal(a.embedding, b.embedding)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues) and a.sweeps == b.sweeps
+        lead = np.abs(a.embedding).argmax(axis=0)
+        assert np.all(a.embedding[lead, [0, 1]] > 0)
+
+    def test_sweep_cap_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_MAX_SWEEPS", 1)
+        x = gen_swiss_roll(SwissRollConfig(n=300, seed=5)).x
+        with pytest.raises(LleDidNotConverge, match="after 1 sweeps"):
+            fit_lle(x, 2)
+
+    def test_fit_allocates_no_n_by_n_array(self):
+        x = gen_swiss_roll(SwissRollConfig(n=2500, seed=6)).x
+        tracemalloc.start()
+        try:
+            fit_lle(x, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense n x n float64 array alone would take n*n*8 bytes
+        assert peak < x.shape[0] ** 2 * 8 / 2
 
 
 class TestTransformValidation:

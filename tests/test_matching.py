@@ -13,7 +13,7 @@ from deepmatch.matching import (
     nearest_opposite,
     propensity_match,
 )
-from oracles import effects_scan, knn_scan
+from oracles import effects_scan, knn_scan, lle_dense_weights
 
 
 def random_instance(rng, n_max=200, d_max=5):
@@ -106,7 +106,7 @@ class TestKnnKernel:
         x = np.vstack([np.tile([[0.5, -1.0, 2.0]], (9, 1)), rng.standard_normal((25, 3))])
         x = x[rng.permutation(x.shape[0])]
         k = 5
-        w = lle_weight_matrix(x, k, 1e-3)
+        w = lle_dense_weights(*lle_weight_matrix(x, k, 1e-3))
         for i in range(x.shape[0]):
             assert w[i, i] == 0.0
             want, _ = knn_scan(x.tolist(), [int(j == i) for j in range(x.shape[0])], i, k)

@@ -103,6 +103,24 @@ class TestFitLogistic:
         ridged = fit_logistic(x, w, PropensityFitConfig(l2=1.0))
         assert np.linalg.norm(ridged.coef) < np.linalg.norm(plain.coef)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"l2": float("nan")},
+            {"l2": float("inf")},
+            {"l2": -1.0},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("inf")},
+            {"grad_tol": -1.0},
+            {"grad_tol": 0.0},
+            {"max_iter": 0},
+            {"max_iter": -5},
+        ],
+    )
+    def test_fit_config_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PropensityFitConfig(**bad)
+
     def test_labels_validated(self):
         x = np.random.default_rng(7).normal(size=(10, 2))
         with pytest.raises(ValueError):

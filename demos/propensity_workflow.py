@@ -55,9 +55,10 @@ def main(seed=0):
         )
         print(f"  held-out accuracy {100 * holdout_accuracy(result, ds.x, ds.w):.2f}%")
 
-        matches = propensity_match(scores, ds.w, query_arm=1)
+        queries, matched = propensity_match(scores, ds.w, query_arm=1)
         report = misassignment_report(
-            matches,
+            queries,
+            matched,
             ds.truth.pair_index,
             threshold_labels(scores[result.test_indices]),
             ds.w[result.test_indices],

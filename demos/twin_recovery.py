@@ -20,9 +20,9 @@ from deepmatch import (
 def hand_example():
     z = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     w = np.array([1, 0, 0])
-    r = nearest_opposite(z, w, 0, k=2)
+    indices, distances = nearest_opposite(z, w, 0, k=2)
     print("treated unit 0 matched against the two controls:")
-    for idx, dist in zip(r.neighbor_indices, r.distances):
+    for idx, dist in zip(indices, distances):
         print(f"  control {idx} at distance {dist:.1f}")
 
 

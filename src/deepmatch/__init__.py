@@ -38,7 +38,6 @@ from .experiments import (
 from .gradcheck import default_grid, finite_difference_gradients, run_case
 from .matching import (
     EffectEstimate,
-    MatchResult,
     estimate_effects,
     estimate_effects_pooled,
     nearest_opposite,
@@ -81,7 +80,6 @@ __all__ = [
     "GradcheckRun",
     "GroundTruth",
     "LayerSpec",
-    "MatchResult",
     "Network",
     "NetworkSpec",
     "ObservationalDataset",

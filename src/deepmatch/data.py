@@ -24,14 +24,18 @@ N_GROUPS = 6
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Simulation ground truth: potential outcomes, exact unit effects, band
-    labels, and (for the paired design) each unit's opposite-arm twin."""
+    """Simulation ground truth: potential outcomes (exact unit effects
+    `ite_true` = y1 - y0), band labels, and (for the paired design) each
+    unit's opposite-arm twin."""
 
     y0: np.ndarray
     y1: np.ndarray
-    ite_true: np.ndarray
     group: np.ndarray
     pair_index: np.ndarray | None = None
+
+    @property
+    def ite_true(self) -> np.ndarray:
+        return self.y1 - self.y0
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,10 @@ class ObservationalDataset:
 
     def _check_truth(self, n: int) -> None:
         t = self.truth
-        for name in ("y0", "y1", "ite_true"):
+        for name in ("y0", "y1"):
             arr = getattr(t, name)
             if np.asarray(arr).shape != (n,):
                 raise ValueError(f"truth.{name} must have length {n}")
-        if not np.array_equal(t.ite_true, t.y1 - t.y0):
-            raise ValueError("truth.ite_true must equal y1 - y0 exactly")
         expected = np.where(self.w == 1, t.y1, t.y0)
         if not np.array_equal(self.y_obs, expected):
             raise ValueError("y_obs must equal the potential outcome selected by w")
@@ -174,7 +176,7 @@ def gen_swiss_roll(cfg: SwissRollConfig) -> ObservationalDataset:
     b = np.asarray(cfg.coeff_treated, dtype=float)
     y0 = clean @ a + cfg.outcome_noise_sigma * rng.standard_normal(n)
     y1 = clean @ b + cfg.outcome_noise_sigma * rng.standard_normal(n)
-    truth = GroundTruth(y0=y0, y1=y1, ite_true=y1 - y0, group=_band_labels(t))
+    truth = GroundTruth(y0=y0, y1=y1, group=_band_labels(t))
     return ObservationalDataset(
         x=x, w=w, y_obs=np.where(w == 1, y1, y0), truth=truth
     )
@@ -206,7 +208,6 @@ def gen_propensity_pairs(n: int, jitter_sigma: float, seed: int) -> Observationa
     truth = GroundTruth(
         y0=y.copy(),
         y1=y.copy(),
-        ite_true=np.zeros(2 * n),
         group=np.zeros(2 * n, dtype=int),
         pair_index=pair,
     )
@@ -230,7 +231,6 @@ def duplicate_twins(ds: ObservationalDataset) -> ObservationalDataset:
     truth = GroundTruth(
         y0=np.concatenate((t.y0, t.y0)),
         y1=np.concatenate((t.y1, t.y1)),
-        ite_true=np.concatenate((t.ite_true, t.ite_true)),
         group=np.concatenate((t.group, t.group)),
         pair_index=np.concatenate((np.arange(n) + n, np.arange(n))),
     )

@@ -210,25 +210,19 @@ def autoencoder_spec(d: int, m: int, hidden: tuple[int, ...] = ()) -> NetworkSpe
     return NetworkSpec(tuple(layers), loss="mse")
 
 
-DEFAULT_AUTOENCODER_EPOCHS = 400
-
-
 def fit_autoencoder(
     x: np.ndarray,
     m: int,
-    train_cfg: TrainConfig | None = None,
+    train_cfg: TrainConfig,
     hidden: tuple[int, ...] = (),
-    seed: int = 0,
 ) -> AutoencoderEmbedder:
     """Train a reconstruction network on standardized x; embed at the bottleneck.
 
     `hidden` inserts extra symmetric tanh layers around the bottleneck
-    (empty tuple = plain d -> m -> d). `train_cfg` defaults to adadelta for
-    DEFAULT_AUTOENCODER_EPOCHS epochs with the given seed.
+    (empty tuple = plain d -> m -> d). `train_cfg` sets the epochs, batch
+    size, optimizer and the seed of both the initial weights and training.
     """
     x = _check_fit_input(x, m)
-    if train_cfg is None:
-        train_cfg = TrainConfig(epochs=DEFAULT_AUTOENCODER_EPOCHS, seed=seed)
     mean, scale = _column_stats(x)
     z = (x - mean) / scale
     spec = autoencoder_spec(x.shape[1], m, hidden)

@@ -185,7 +185,9 @@ class Experiment:
         """Validate a config document; absent keys keep their defaults."""
         doc = _require_object(doc, "config")
         for key, expected in (("version", CONFIG_VERSION), ("experiment", self.name)):
-            if doc.get(key, expected) != expected:
+            # the type check keeps true and 1.0 from passing as the integer 1
+            value = doc.get(key, expected)
+            if type(value) is not type(expected) or value != expected:
                 raise ConfigError(f"config.{key} must be {expected!r}, got {doc[key]!r}")
         if seed_override is not None:
             doc = {**doc, "seed": seed_override}
@@ -456,12 +458,13 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
         with _stage(f"score:{method}"):
             scores = fit_result.model.predict(features)
         with _stage(f"match:{method}"):
-            matches = propensity_match(scores, ds.w, query_arm=cfg.query_arm)
+            queries, matched = propensity_match(scores, ds.w, query_arm=cfg.query_arm)
         with _stage(f"report:{method}"):
             idx = fit_result.test_indices
             reports.append(
                 misassignment_report(
-                    matches,
+                    queries,
+                    matched,
                     ds.truth.pair_index,
                     threshold_labels(scores[idx], cfg.threshold),
                     ds.w[idx],
@@ -470,27 +473,21 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
                 )
             )
         with _stage(f"write:{method}"):
-            pair_index = ds.truth.pair_index
-            rows = []
-            for m in matches:
-                qi = m.query_index
-                mi = int(m.neighbor_indices[0])
-                rows.append(
-                    [
-                        qi,
-                        float(scores[qi]),
-                        float(ds.x[qi, 0]),
-                        float(ds.x[qi, 1]),
-                        float(ds.y_obs[qi]),
-                        mi,
-                        float(scores[mi]),
-                        int(pair_index[qi]),
-                    ]
-                )
+            # Python scalars, so each cell prints as repr(float) or str(int)
+            columns = (
+                queries,
+                scores[queries],
+                ds.x[queries, 0],
+                ds.x[queries, 1],
+                ds.y_obs[queries],
+                matched,
+                scores[matched],
+                ds.truth.pair_index[queries],
+            )
             _write_csv(
                 out / f"matched_pairs_{method}.csv",
                 ["query_index", "score", "x1", "x2", "y_obs", "matched_index", "matched_score", "pair_index"],
-                rows,
+                zip(*(c.tolist() for c in columns)),
             )
 
     with _stage("write"):

@@ -4,9 +4,12 @@ Matching is exact brute-force Euclidean search (no trees, no approximation)
 so results are deterministic and easy to verify against a plain scan. Every
 neighbor search in the library (effect matching, score matching, LLE) runs
 through one blocked kernel, `knn`, which rejects non-finite input; effect
-estimation rejects non-finite outcomes as well. The unit-level effect
-estimate differences each unit's observed outcome against the mean outcome
-of its k nearest opposite-arm neighbors:
+estimation rejects non-finite outcomes as well. Neighbors come back only as
+index arrays: `knn`'s (indices, distances), one query's row of them from
+`nearest_opposite`, and (queries, matched) from `propensity_match`. Every
+unit gets its k matches, so each estimated effect is finite. The unit-level
+effect estimate differences each unit's observed outcome against the mean
+outcome of its k nearest opposite-arm neighbors:
 
     ite[i] = y_obs[i] - mean(matched control outcomes)   if w[i] = 1
     ite[i] = mean(matched treated outcomes) - y_obs[i]   if w[i] = 0
@@ -23,51 +26,21 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MatchResult:
-    """Neighbors of one query unit, nearest first (opposite arm only)."""
-
-    query_index: int
-    neighbor_indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.neighbor_indices, dtype=int)
-        d = np.asarray(self.distances, dtype=float)
-        if idx.shape != d.shape or idx.ndim != 1:
-            raise ValueError("neighbor_indices and distances must be equal-length vectors")
-        if d.size and (np.any(d < 0) or np.any(np.diff(d) < 0)):
-            raise ValueError("distances must be non-negative and non-decreasing")
-        object.__setattr__(self, "neighbor_indices", idx)
-        object.__setattr__(self, "distances", d)
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_indices.shape[0]
-
-
-@dataclass(frozen=True)
 class EffectEstimate:
-    """Per-unit effect estimates and their mean.
-
-    Units excluded by a caliper carry NaN in `ite` and are counted in
-    `n_unmatched`; `ate` averages the matched units only.
-    """
+    """Per-query-unit effects `ite` of k-NN matching, all finite, and their mean `ate`."""
 
     ite: np.ndarray
-    ate: float
     k: int
-    n_unmatched: int = 0
 
     def __post_init__(self):
         ite = np.asarray(self.ite, dtype=float)
+        if ite.size == 0 or not np.all(np.isfinite(ite)):
+            raise ValueError("effect estimates ite must be a non-empty vector of finite values")
         object.__setattr__(self, "ite", ite)
-        matched = ite[np.isfinite(ite)]
-        if matched.size == 0:
-            raise ValueError("no matched units: every unit exceeded the caliper")
-        if ite.size - matched.size != self.n_unmatched:
-            raise ValueError("n_unmatched disagrees with NaN count in ite")
-        if self.ate != float(np.mean(matched)):
-            raise ValueError("ate must equal the mean of matched ite entries")
+
+    @property
+    def ate(self) -> float:
+        return float(np.mean(self.ite))
 
 
 def _check_arms(w: np.ndarray) -> None:
@@ -120,28 +93,28 @@ def knn(queries: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     return indices, distances
 
 
-def nearest_opposite(z: np.ndarray, w: np.ndarray, i: int, k: int = 1) -> MatchResult:
-    """k nearest opposite-arm neighbors of unit i in representation z."""
+def nearest_opposite(
+    z: np.ndarray, w: np.ndarray, i: int, k: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, distances) of unit i's k nearest opposite-arm units in z, nearest first."""
     z = np.asarray(z, dtype=float)
     w = np.asarray(w)
     _check_arms(w)
     opp = np.flatnonzero(w != w[i])
     idx, d = knn(z[i : i + 1], z[opp], k)
-    return MatchResult(query_index=int(i), neighbor_indices=opp[idx[0]], distances=d[0])
+    return opp[idx[0]], d[0]
 
 
 def estimate_effects(
-    z: np.ndarray, w: np.ndarray, y_obs: np.ndarray, k: int = 1,
-    caliper: float | None = None,
+    z: np.ndarray, w: np.ndarray, y_obs: np.ndarray, k: int = 1
 ) -> EffectEstimate:
     """Effect estimates matching every unit within one dataset."""
     _check_arms(np.asarray(w))
-    return estimate_effects_pooled(z, w, y_obs, z, w, y_obs, k, caliper)
+    return estimate_effects_pooled(z, w, y_obs, z, w, y_obs, k)
 
 
 def estimate_effects_pooled(
-    z_query, w_query, y_query, z_pool, w_pool, y_pool, k: int = 1,
-    caliper: float | None = None,
+    z_query, w_query, y_query, z_pool, w_pool, y_pool, k: int = 1
 ) -> EffectEstimate:
     """Effect estimates for query units matched against a separate pool.
 
@@ -165,8 +138,8 @@ def estimate_effects_pooled(
         raise ValueError("outcomes y must be finite, for queries and pool alike")
     if not (np.isin(w_query, (0, 1)).all() and np.isin(w_pool, (0, 1)).all()):
         raise ValueError("treatment indicator must be 0 or 1")
-    n = z_query.shape[0]
-    ite = np.full(n, np.nan)
+    # every row is filled below; EffectEstimate rejects a NaN left behind
+    ite = np.full(z_query.shape[0], np.nan)
     for arm, side in ((1, "control"), (0, "treated")):
         rows = np.flatnonzero(w_query == arm)
         if rows.shape[0] == 0:
@@ -176,25 +149,21 @@ def estimate_effects_pooled(
             raise ValueError(f"{side} arm of the matching pool is empty")
         if pool.shape[0] < k:
             raise ValueError(f"k={k} exceeds the {side} matching pool of size {pool.shape[0]}")
-        idx, d = knn(z_query[rows], z_pool[pool], k)
+        idx, _ = knn(z_query[rows], z_pool[pool], k)
         y = y_pool[pool[idx]]
-        keep = d <= (np.inf if caliper is None else caliper)
         total = np.zeros(rows.shape[0])
         for c in range(k):
-            total += np.where(keep[:, c], y[:, c], 0.0)
-        count = keep.sum(axis=1)
-        rows, mean = rows[count > 0], total[count > 0] / count[count > 0]
+            total += y[:, c]
+        mean = total / k
         ite[rows] = y_query[rows] - mean if arm == 1 else mean - y_query[rows]
-    matched = ite[np.isfinite(ite)]
-    if matched.size == 0:
-        raise ValueError("no matched units: every unit exceeded the caliper")
-    return EffectEstimate(
-        ite=ite, ate=float(np.mean(matched)), k=k, n_unmatched=int(n - matched.size)
-    )
+    return EffectEstimate(ite=ite, k=k)
 
 
-def propensity_match(scores, w, query_arm: int = 1) -> list[MatchResult]:
+def propensity_match(scores, w, query_arm: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Match every unit of `query_arm` to its nearest opposite-arm score.
+
+    Returns (queries, matched): the query-arm units in index order, and
+    matched[r], the opposite-arm unit matched to queries[r].
 
     Nearness is the kernel distance sqrt(d*d) of the score difference d,
     which equals |d| unless |d| is below about 1.5e-154, where d*d
@@ -211,9 +180,5 @@ def propensity_match(scores, w, query_arm: int = 1) -> list[MatchResult]:
     _check_arms(w)
     queries = np.flatnonzero(w == query_arm)
     cand = np.flatnonzero(w != query_arm)
-    idx, d = knn(scores[queries, None], scores[cand, None], 1)
-    nbrs = cand[idx]
-    return [
-        MatchResult(query_index=int(i), neighbor_indices=nbrs[r], distances=d[r])
-        for r, i in enumerate(queries)
-    ]
+    idx, _ = knn(scores[queries, None], scores[cand, None], 1)
+    return queries, cand[idx[:, 0]]

@@ -1,8 +1,9 @@
 """Evaluation metrics and report records for the two experiment pipelines.
 
-EffectReport summarizes treatment-effect recovery on a held-out test set;
-PropensityReport summarizes how well score-based matching finds each unit's
-known pair. Both are plain dataclasses that round-trip through JSON dicts.
+EffectReport scores an EffectEstimate against the true effects of a held-out
+test set; PropensityReport scores `propensity_match`'s (queries, matched)
+index arrays against the known pairs. Both are plain dataclasses that
+round-trip through JSON dicts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import GroundTruth
-from .matching import EffectEstimate, MatchResult
+from .matching import EffectEstimate
 
 # Previously reported results for the jittered-pairs benchmark, as
 # (mean abs misassignment error %, misassignment rate %, accuracy %).
@@ -87,8 +88,6 @@ def ite_error(
         raise ValueError(
             f"estimate covers {est.ite.shape[0]} units but the mask selects {true_ite.shape[0]}"
         )
-    if not np.all(np.isfinite(est.ite)):
-        raise ValueError("estimate contains unmatched (NaN) units; cannot score")
     diff = est.ite - true_ite
     return EffectReport(
         method=method,
@@ -100,33 +99,31 @@ def ite_error(
 
 
 def misassignment_report(
-    matches: list[MatchResult],
+    queries: np.ndarray,
+    matched: np.ndarray,
     pair_index: np.ndarray,
     predicted_w: np.ndarray,
     true_w: np.ndarray,
     method: str = "",
     seed: int = 0,
-    n_arm: int | None = None,
 ) -> PropensityReport:
-    """Score matched indices against known pair links.
+    """Score `propensity_match`'s (queries, matched) arrays against known pair links.
 
-    rate = share of units whose first match is not their pair; error = mean
-    |matched - pair| as a fraction of the arm size (index-offset distance,
-    stable under dataset row order); accuracy = share of held-out units
-    whose score, thresholded at 0.5, equals their true treatment label.
-    predicted_w and true_w are the held-out vectors, already aligned.
+    rate = share of queries not matched to their pair; error = mean
+    |matched - pair| as a fraction of the number of queries (index-offset
+    distance, stable under dataset row order); accuracy = share of held-out
+    units whose score, thresholded at 0.5, equals their true treatment
+    label. predicted_w and true_w are the held-out vectors, already aligned.
     """
     if pair_index is None:
         raise ValueError("dataset has no pair links; misassignment is undefined")
-    if not matches:
-        raise ValueError("no matches to score")
-    pair_index = np.asarray(pair_index)
-    if n_arm is None:
-        n_arm = len(matches)
-    matched = np.array([m.neighbor_indices[0] for m in matches])
-    expected = np.array([pair_index[m.query_index] for m in matches])
+    queries = np.asarray(queries)
+    matched = np.asarray(matched)
+    if queries.ndim != 1 or queries.shape != matched.shape or queries.size == 0:
+        raise ValueError("queries and matched must be non-empty vectors of equal length")
+    expected = np.asarray(pair_index)[queries]
     rate = 100.0 * float(np.mean(matched != expected))
-    error = 100.0 * float(np.mean(np.abs(matched - expected) / n_arm))
+    error = 100.0 * float(np.mean(np.abs(matched - expected) / len(queries)))
     predicted_w = np.asarray(predicted_w)
     true_w = np.asarray(true_w)
     if predicted_w.shape != true_w.shape:

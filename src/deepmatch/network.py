@@ -109,7 +109,6 @@ class TrainConfig:
     batch_size: int = 32
     optimizer: Optimizer = Adadelta()
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -344,7 +343,7 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
 
     history = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]

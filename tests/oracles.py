@@ -126,7 +126,7 @@ def train_per_tensor(net, x, y, cfg):
     n = x.shape[0]
     history = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]

@@ -113,10 +113,10 @@ def test_matching_agrees_exactly_with_exhaustive_oracle():
         est = estimate_effects(z, w, y, k=k)
         assert est.ite.tolist() == effects_scan(z.tolist(), w.tolist(), y.tolist(), k)
         for i in map(int, rng.integers(0, n, size=3)):
-            r = nearest_opposite(z, w, i, k=k)
+            got_idx, got_dist = nearest_opposite(z, w, i, k=k)
             idx, dist = knn_scan(z.tolist(), w.tolist(), i, k)
-            assert r.neighbor_indices.tolist() == idx
-            assert r.distances.tolist() == dist
+            assert got_idx.tolist() == idx
+            assert got_dist.tolist() == dist
 
 
 def test_every_method_recovers_twin_effects_exactly(tmp_path):

@@ -202,15 +202,9 @@ class TestDatasetValidation:
         good = GroundTruth(
             y0=np.array([1.0, 2.0]),
             y1=np.array([3.0, 4.0]),
-            ite_true=np.array([2.0, 2.0]),
             group=np.zeros(2, dtype=int),
         )
         ObservationalDataset(x=x, w=w, y_obs=np.array([3.0, 2.0]), truth=good)
-        with pytest.raises(ValueError, match="ite_true"):
-            bad = GroundTruth(
-                y0=good.y0, y1=good.y1, ite_true=np.array([2.0, 1.0]), group=good.group
-            )
-            ObservationalDataset(x=x, w=w, y_obs=np.array([3.0, 2.0]), truth=bad)
         with pytest.raises(ValueError, match="y_obs"):
             ObservationalDataset(x=x, w=w, y_obs=np.array([1.0, 2.0]), truth=good)
 
@@ -220,7 +214,6 @@ class TestDatasetValidation:
         t = GroundTruth(
             y0=np.zeros(2),
             y1=np.zeros(2),
-            ite_true=np.zeros(2),
             group=np.zeros(2, dtype=int),
             pair_index=np.array([1, 0]),
         )

@@ -106,7 +106,7 @@ class TestPca:
 class TestAutoencoder:
     def test_plane_reconstruction_mse_under_default_epochs(self):
         x = plane_data(n=300, seed=10)
-        emb = fit_autoencoder(x, 2, seed=0)
+        emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=400, seed=0))
         recon = emb.reconstruct(x)
         assert np.mean((recon - x) ** 2) < 1e-2
 

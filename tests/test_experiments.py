@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deepmatch import experiments
 from deepmatch.cli import main
 from deepmatch.experiments import (
     ConfigError,
@@ -62,8 +63,9 @@ class TestParseSwissroll:
             parse_swissroll({"lle": {"neighbours": 5}})
 
     def test_version_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="version"):
-            parse_swissroll({"version": 2})
+        for version in (2, True, 1.0, "1"):
+            with pytest.raises(ConfigError, match="config.version"):
+                parse_swissroll({"version": version})
 
     def test_experiment_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="swissroll"):
@@ -270,7 +272,15 @@ class TestRunSwissroll:
 
 
 class TestRunPropensity:
-    def test_output_contract(self, tmp_path):
+    def test_output_contract(self, tmp_path, monkeypatch):
+        scored = []
+        match = experiments.propensity_match
+
+        def capture(scores, w, query_arm=1):
+            scored.append(np.array(scores))
+            return match(scores, w, query_arm=query_arm)
+
+        monkeypatch.setattr(experiments, "propensity_match", capture)
         cfg = parse_propensity(PS_SMALL)
         reports = run_propensity(cfg, tmp_path / "out")
         assert [r.method for r in reports] == ["logistic", "propensity_net"]
@@ -283,12 +293,21 @@ class TestRunPropensity:
         )
         assert len(comparison) == 3
 
-        for method in cfg.methods:
+        for method, scores in zip(cfg.methods, scored, strict=True):
             lines = (out / f"matched_pairs_{method}.csv").read_text().splitlines()
             assert lines[0] == (
                 "query_index,score,x1,x2,y_obs,matched_index,matched_score,pair_index"
             )
             assert len(lines) == 61  # one row per treated query
+            header = lines[0].split(",")
+            for line in lines[1:]:
+                # int() and float() reject a numpy repr such as "np.float64(0.5)"
+                row = {
+                    name: int(cell) if name.endswith("index") else float(cell)
+                    for name, cell in zip(header, line.split(","), strict=True)
+                }
+                assert row["score"] == scores[row["query_index"]]
+                assert row["matched_score"] == scores[row["matched_index"]]
 
         payload = json.loads((out / "reports.json").read_text())
         assert payload["experiment"] == "propensity"

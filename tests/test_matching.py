@@ -6,7 +6,6 @@ from deepmatch.data import SwissRollConfig, duplicate_twins, gen_swiss_roll
 from deepmatch.embedding import fit_lle, lle_weight_matrix
 from deepmatch.matching import (
     EffectEstimate,
-    MatchResult,
     estimate_effects,
     estimate_effects_pooled,
     knn,
@@ -78,12 +77,17 @@ class TestKnnKernel:
             w = (rng.random(n) < 0.5).astype(int)
             w[:2] = (0, 1)
             for arm in (0, 1):
+                queries = np.flatnonzero(w == arm)
                 cand = np.flatnonzero(w != arm)
-                for m in propensity_match(scores, w, query_arm=arm):
-                    gaps = [abs(scores[m.query_index] - scores[j]) for j in cand]
+                idx, dist = knn(scores[queries, None], scores[cand, None], 1)
+                got, matched = propensity_match(scores, w, query_arm=arm)
+                assert got.tolist() == queries.tolist()
+                for r, q in enumerate(queries):
+                    gaps = [abs(scores[q] - scores[j]) for j in cand]
                     best = min(range(len(cand)), key=lambda t: (gaps[t], cand[t]))
-                    assert m.neighbor_indices.tolist() == [cand[best]]
-                    assert m.distances.tolist() == [gaps[best]]
+                    assert idx[r].tolist() == [best]
+                    assert dist[r].tolist() == [gaps[best]]
+                    assert matched[r] == cand[best]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_rejected(self, bad):
@@ -118,22 +122,22 @@ class TestNearestOpposite:
     def test_two_candidate_example(self):
         z = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         w = np.array([1, 0, 0])
-        r = nearest_opposite(z, w, 0, k=1)
-        assert r.neighbor_indices.tolist() == [1]
-        assert r.distances.tolist() == [1.0]
+        idx, dist = nearest_opposite(z, w, 0, k=1)
+        assert idx.tolist() == [1]
+        assert dist.tolist() == [1.0]
 
     def test_duplicate_gives_distance_zero(self):
         z = np.array([[2.0, 2.0], [2.0, 2.0], [5.0, 5.0]])
         w = np.array([1, 0, 0])
-        r = nearest_opposite(z, w, 0, k=1)
-        assert r.neighbor_indices[0] == 1
-        assert r.distances[0] == 0.0
+        idx, dist = nearest_opposite(z, w, 0, k=1)
+        assert idx[0] == 1
+        assert dist[0] == 0.0
 
     def test_ties_take_lower_index(self):
         z = np.array([[0.0], [1.0], [-1.0], [1.0]])
         w = np.array([1, 0, 0, 0])
-        r = nearest_opposite(z, w, 0, k=3)
-        assert r.neighbor_indices.tolist() == [1, 2, 3]
+        idx, _ = nearest_opposite(z, w, 0, k=3)
+        assert idx.tolist() == [1, 2, 3]
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(0)
@@ -142,10 +146,10 @@ class TestNearestOpposite:
             k_cap = min(3, int((w == 1).sum()), int((w == 0).sum()))
             for k in range(1, k_cap + 1):
                 for i in range(z.shape[0]):
-                    r = nearest_opposite(z, w, i, k=k)
+                    got_idx, got_dist = nearest_opposite(z, w, i, k=k)
                     idx, dist = knn_scan(z.tolist(), w.tolist(), i, k)
-                    assert r.neighbor_indices.tolist() == idx
-                    assert r.distances.tolist() == dist
+                    assert got_idx.tolist() == idx
+                    assert got_dist.tolist() == dist
 
     def test_empty_arm_rejected(self):
         z = np.zeros((3, 1))
@@ -158,14 +162,6 @@ class TestNearestOpposite:
         z = np.zeros((3, 1))
         with pytest.raises(ValueError, match="k must"):
             nearest_opposite(z, np.array([1, 0, 1]), 0, k=2)
-
-    def test_result_invariants_enforced(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            MatchResult(
-                query_index=0,
-                neighbor_indices=np.array([1, 2]),
-                distances=np.array([2.0, 1.0]),
-            )
 
 
 class TestEstimateEffects:
@@ -225,23 +221,10 @@ class TestEstimateEffects:
         est = estimate_effects(z, w, y, k=1)
         assert est.ate == np.mean(est.ite)
 
-    def test_caliper_excludes_far_units(self):
-        z = np.array([[0.0], [0.1], [50.0]])
-        w = np.array([1, 0, 0])
-        y = np.array([2.0, 1.0, 9.0])
-        est = estimate_effects(z, w, y, k=1, caliper=1.0)
-        assert est.n_unmatched == 1
-        assert np.isnan(est.ite[2])
-        assert est.ate == 1.0
-
-    def test_caliper_excluding_everything_rejected(self):
-        z = np.array([[0.0], [9.0]])
-        with pytest.raises(ValueError, match="caliper"):
-            estimate_effects(z, np.array([1, 0]), np.array([1.0, 0.0]), caliper=0.5)
-
     def test_estimate_invariants_enforced(self):
-        with pytest.raises(ValueError, match="ate"):
-            EffectEstimate(ite=np.array([1.0, 3.0]), ate=1.0, k=1)
+        for ite in ([1.0, np.nan], [np.inf, 2.0], []):
+            with pytest.raises(ValueError, match="finite"):
+                EffectEstimate(ite=np.array(ite), k=1)
 
 
 class TestPooledEffects:
@@ -331,30 +314,28 @@ class TestPropensityMatch:
     def test_nearest_score_example(self):
         scores = np.array([0.9, 0.1, 0.85])
         w = np.array([1, 0, 0])
-        m = propensity_match(scores, w)
-        assert len(m) == 1
-        assert m[0].neighbor_indices[0] == 2
-        assert m[0].distances[0] == pytest.approx(0.05, abs=1e-15)
+        queries, matched = propensity_match(scores, w)
+        assert queries.tolist() == [0]
+        assert matched.tolist() == [2]
 
     def test_identical_scores_tie_to_first_control(self):
         scores = np.full(6, 0.4)
         w = np.array([1, 1, 0, 1, 0, 0])
-        m = propensity_match(scores, w)
-        assert [r.neighbor_indices[0] for r in m] == [2, 2, 2]
+        _, matched = propensity_match(scores, w)
+        assert matched.tolist() == [2, 2, 2]
 
     def test_direction_flag(self):
         scores = np.array([0.2, 0.8, 0.25])
         w = np.array([1, 1, 0])
-        m = propensity_match(scores, w, query_arm=0)
-        assert len(m) == 1
-        assert m[0].query_index == 2
-        assert m[0].neighbor_indices[0] == 0
+        queries, matched = propensity_match(scores, w, query_arm=0)
+        assert queries.tolist() == [2]
+        assert matched.tolist() == [0]
 
     def test_matching_with_replacement(self):
         scores = np.array([0.5, 0.51, 0.49, 0.5])
         w = np.array([1, 1, 1, 0])
-        m = propensity_match(scores, w)
-        assert all(r.neighbor_indices[0] == 3 for r in m)
+        _, matched = propensity_match(scores, w)
+        assert matched.tolist() == [3, 3, 3]
 
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -366,7 +347,6 @@ class TestPropensityMatch:
         w = (rng.random(30) < 0.5).astype(int)
         if w.sum() in (0, 30):
             w[0] = 1 - w[0]
-        m = propensity_match(scores, w)
-        assert [r.query_index for r in m] == np.flatnonzero(w == 1).tolist()
-        controls = set(np.flatnonzero(w == 0).tolist())
-        assert all(int(r.neighbor_indices[0]) in controls for r in m)
+        queries, matched = propensity_match(scores, w)
+        assert queries.tolist() == np.flatnonzero(w == 1).tolist()
+        assert np.all(w[matched] == 0)

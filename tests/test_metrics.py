@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deepmatch.data import GroundTruth
-from deepmatch.matching import EffectEstimate, MatchResult
+from deepmatch.matching import EffectEstimate
 from deepmatch.metrics import (
     REFERENCE_MISASSIGNMENT,
     EffectReport,
@@ -25,20 +25,11 @@ def make_truth(ite, seed=0):
     ite = np.asarray(ite, dtype=float)
     rng = np.random.default_rng(seed)
     y0 = rng.normal(size=ite.shape)
-    return GroundTruth(y0=y0, y1=y0 + ite, ite_true=ite, group=np.zeros(len(ite), dtype=int))
+    return GroundTruth(y0=y0, y1=y0 + ite, group=np.zeros(len(ite), dtype=int))
 
 
 def make_estimate(ite):
-    ite = np.asarray(ite, dtype=float)
-    return EffectEstimate(ite=ite, ate=float(np.mean(ite)), k=1)
-
-
-def pair_match(query_index, matched_index):
-    return MatchResult(
-        query_index=query_index,
-        neighbor_indices=np.array([matched_index]),
-        distances=np.array([0.0]),
-    )
+    return EffectEstimate(ite=np.asarray(ite, dtype=float), k=1)
 
 
 class TestReportRecords:
@@ -119,7 +110,6 @@ class TestIteError:
         truth_p = GroundTruth(
             y0=truth.y0[perm],
             y1=truth.y1[perm],
-            ite_true=truth.ite_true[perm],
             group=truth.group[perm],
         )
         permuted = ite_error(make_estimate(est[perm]), truth_p, mask)
@@ -132,12 +122,9 @@ class TestIteError:
 
     def test_nan_estimate_rejected(self):
         truth = make_truth([1.0, 2.0])
-        with pytest.raises(ValueError, match="unmatched"):
-            ite_error(
-                EffectEstimate(ite=np.array([1.0, np.nan]), ate=1.0, k=1, n_unmatched=1),
-                truth,
-                np.array([True, True]),
-            )
+        # the estimate type admits finite effects only, so a NaN never reaches scoring
+        with pytest.raises(ValueError, match="finite"):
+            ite_error(make_estimate([1.0, np.nan]), truth, np.array([True, True]))
 
     def test_shape_mismatches_rejected(self):
         truth = make_truth([1.0, 2.0, 3.0])
@@ -150,47 +137,59 @@ class TestIteError:
 class TestMisassignment:
     def test_all_correct_zero(self):
         pair_index = np.array([2, 3, 0, 1])
-        matches = [pair_match(0, 2), pair_match(1, 3)]
         report = misassignment_report(
-            matches, pair_index, np.array([1, 0]), np.array([1, 0]), method="m", seed=2
+            np.array([0, 1]), np.array([2, 3]), pair_index, np.array([1, 0]), np.array([1, 0]),
+            method="m", seed=2,
         )
         assert report.misassignment_rate_pct == 0.0
         assert report.mean_abs_misassignment_error_pct == 0.0
         assert report.accuracy_pct == 100.0
 
     def test_single_unit_one_off_in_arm_of_100(self):
+        # 100 queries, all matched to their pair but query 0, which lands one index off
         pair_index = np.concatenate([np.arange(100, 200), np.arange(0, 100)])
-        matches = [pair_match(0, 101)]
-        report = misassignment_report(matches, pair_index, np.array([1]), np.array([1]), n_arm=100)
-        assert report.mean_abs_misassignment_error_pct == pytest.approx(1.0)
-        assert report.misassignment_rate_pct == pytest.approx(100.0)
+        queries = np.arange(100)
+        matched = pair_index[queries]
+        matched[0] += 1
+        report = misassignment_report(queries, matched, pair_index, np.array([1]), np.array([1]))
+        # |101 - 100| / 100 queries, averaged over 100 queries, in percent
+        assert report.mean_abs_misassignment_error_pct == pytest.approx(0.01)
+        assert report.misassignment_rate_pct == pytest.approx(1.0)
 
     def test_rate_zero_iff_error_zero(self):
         rng = np.random.default_rng(7)
         pair_index = np.concatenate([np.arange(20, 40), np.arange(0, 20)])
         for _ in range(20):
             matched = 20 + rng.integers(0, 20, size=20)
-            matches = [pair_match(i, matched[i]) for i in range(20)]
-            report = misassignment_report(matches, pair_index, np.array([1]), np.array([1]))
+            report = misassignment_report(
+                np.arange(20), matched, pair_index, np.array([1]), np.array([1])
+            )
             assert (report.misassignment_rate_pct == 0.0) == (
                 report.mean_abs_misassignment_error_pct == 0.0
             )
 
     def test_accuracy_from_heldout_labels(self):
-        pair_index = np.array([1, 0])
-        matches = [pair_match(0, 1)]
         report = misassignment_report(
-            matches, pair_index, np.array([1, 0, 0, 1]), np.array([1, 1, 0, 0])
+            np.array([0]), np.array([1]), np.array([1, 0]),
+            np.array([1, 0, 0, 1]), np.array([1, 1, 0, 0]),
         )
         assert report.accuracy_pct == pytest.approx(50.0)
 
     def test_missing_pair_index_rejected(self):
         with pytest.raises(ValueError, match="pair"):
-            misassignment_report([pair_match(0, 1)], None, np.array([1]), np.array([1]))
+            misassignment_report(np.array([0]), np.array([1]), None, np.array([1]), np.array([1]))
 
     def test_empty_matches_rejected(self):
-        with pytest.raises(ValueError):
-            misassignment_report([], np.array([1, 0]), np.array([1]), np.array([1]))
+        none = np.array([], dtype=int)
+        with pytest.raises(ValueError, match="non-empty"):
+            misassignment_report(none, none, np.array([1, 0]), np.array([1]), np.array([1]))
+
+    def test_unaligned_queries_and_matches_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            misassignment_report(
+                np.array([0, 1]), np.array([2]), np.array([2, 3, 0, 1]),
+                np.array([1]), np.array([1]),
+            )
 
     def test_threshold_labels_tie_goes_to_one(self):
         labels = threshold_labels(np.array([0.49, 0.5, 0.51]))

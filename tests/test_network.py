@@ -354,7 +354,7 @@ class TestTrain:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((64, 3))
         y = x @ np.array([[1.0], [-2.0], [0.5]]) + 0.7
-        cfg = TrainConfig(epochs=30, batch_size=64, optimizer=Sgd(0.05), shuffle=False)
+        cfg = TrainConfig(epochs=30, batch_size=64, optimizer=Sgd(0.05))
         history = train(net, x, y, cfg)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 

@@ -30,7 +30,6 @@ class EffectEstimate:
     """Per-query-unit effects `ite` of k-NN matching, all finite, and their mean `ate`."""
 
     ite: np.ndarray
-    k: int
 
     def __post_init__(self):
         ite = np.asarray(self.ite, dtype=float)
@@ -156,7 +155,7 @@ def estimate_effects_pooled(
             total += y[:, c]
         mean = total / k
         ite[rows] = y_query[rows] - mean if arm == 1 else mean - y_query[rows]
-    return EffectEstimate(ite=ite, k=k)
+    return EffectEstimate(ite=ite)
 
 
 def propensity_match(scores, w, query_arm: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
 """Dense feedforward networks with hand-derived backpropagation.
 
-Everything is plain numpy: Glorot-uniform initialization, forward pass with
-inverted dropout, exact layer-by-layer gradients for mean squared error and
-categorical cross-entropy, SGD and adadelta update rules, and a mini-batch
-training loop. No autodiff framework is involved; the finite-difference
-harness in `gradcheck` exists precisely to keep these gradients honest.
+A network is `Network(spec, theta)`: a `NetworkSpec` plus one float64 vector
+holding every weight and bias. Everything is plain numpy: Glorot-uniform
+initialization, a forward pass with inverted dropout (dropout iff an rng is
+passed), exact layer-by-layer gradients for mean squared error and categorical
+cross-entropy, SGD and adadelta update rules, and a mini-batch training loop.
+No autodiff framework is involved; the finite-difference harness in
+`gradcheck` exists precisely to keep these gradients honest.
 """
 
 from __future__ import annotations
@@ -15,7 +17,21 @@ from typing import Union
 
 import numpy as np
 
-ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh", "softmax")
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# name -> (function of the pre-activation, its derivative expressed through the output).
+# Softmax has none: it only feeds cross-entropy, whose logit gradient backward forms directly.
+_ACTIVATIONS = {
+    "identity": (lambda z: z, np.ones_like),
+    "relu": (lambda z: np.maximum(0.0, z), lambda out: (out > 0.0).astype(float)),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda out: out * (1.0 - out)),
+    "tanh": (np.tanh, lambda out: 1.0 - out**2),
+    "softmax": (_softmax, None),
+}
 LOSSES = ("mse", "categorical_cross_entropy")
 
 CCE_CLAMP = 1e-12  # lower clamp inside the log, avoids ln(0)
@@ -35,7 +51,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.fan_in < 1 or self.fan_out < 1:
             raise ValueError(f"layer dims must be >= 1, got {self.fan_in}->{self.fan_out}")
-        if self.activation not in ACTIVATIONS:
+        if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
@@ -117,34 +133,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "relu":
-        return np.maximum(0.0, z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "softmax":
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_deriv(name: str, out: np.ndarray) -> np.ndarray:
-    # Derivative w.r.t. the pre-activation, expressed through the output.
-    if name == "identity":
-        return np.ones_like(out)
-    if name == "relu":
-        return (out > 0.0).astype(float)
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    if name == "tanh":
-        return 1.0 - out**2
-    raise ValueError(f"no elementwise derivative for {name!r}")
-
-
 def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator):
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
@@ -173,33 +161,28 @@ class Network:
     """A dense feedforward net whose parameters live in one float64 vector.
 
     `theta` holds, layer by layer, the weight matrix (fan_out x fan_in,
-    row-major) and then the bias. `weights[l]` and `biases[l]` are views into
-    it, and gradients and optimiser state share the same layout.
+    row-major) and then the bias. The network adopts `theta` without copying;
+    `weights[l]` and `biases[l]` are views into it, and gradients and
+    optimiser state share the same layout.
     """
 
-    def __init__(self, spec: NetworkSpec, weights: list, biases: list):
-        if len(weights) != len(spec.layers) or len(biases) != len(spec.layers):
-            raise ValueError("weights/biases must have one entry per layer")
-        for layer, w, b in zip(spec.layers, weights, biases):
-            if w.shape != (layer.fan_out, layer.fan_in) or b.shape != (layer.fan_out,):
-                raise ValueError(f"parameter shape mismatch for layer {layer}")
+    def __init__(self, spec: NetworkSpec, theta: np.ndarray):
+        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+                and theta.shape == (spec.param_count,)):
+            raise ValueError(f"theta must be a 1-D float64 array of param_count={spec.param_count} "
+                             f"entries, got {getattr(theta, 'dtype', type(theta).__name__)} "
+                             f"of shape {np.shape(theta)}")
         self.spec = spec
-        self.theta = np.empty(spec.param_count)
-        views = self.split(self.theta)
-        for (w, b), w0, b0 in zip(views, weights, biases):
-            w[...] = w0
-            b[...] = b0
+        self.theta = theta
+        views = self.split(theta)
         self.weights = [w for w, _ in views]
         self.biases = [b for _, b in views]
 
-    @property
-    def param_count(self) -> int:
-        return self.spec.param_count
-
     def split(self, flat: np.ndarray) -> list:
         """Per-layer (W, b) views of a vector laid out like `theta`."""
-        if flat.shape != (self.param_count,):
-            raise ValueError(f"expected a flat vector of {self.param_count}, got {flat.shape}")
+        n = self.spec.param_count
+        if flat.shape != (n,):
+            raise ValueError(f"expected a flat vector of param_count={n}, got {flat.shape}")
         views, start = [], 0
         for layer in self.spec.layers:
             mid = start + layer.fan_out * layer.fan_in
@@ -208,23 +191,21 @@ class Network:
             start = stop
         return views
 
-    def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardPass:
+    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None) -> ForwardPass:
+        """Forward pass; dropout runs, drawing from `rng`, iff an `rng` is passed."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise ValueError(
                 f"input must be 2-D with {self.spec.input_dim} columns, got shape {x.shape}"
             )
-        if train_mode and rng is None:
-            rng = np.random.default_rng(0)
         last = len(self.spec.layers) - 1
         inputs, hidden, masks = [x], [], []
         a = x
         for l, layer in enumerate(self.spec.layers):
             z = a @ self.weights[l].T + self.biases[l]
-            h = _activate(layer.activation, z)
+            h = _ACTIVATIONS[layer.activation][0](z)
             hidden.append(h)
-            if train_mode and layer.dropout_rate > 0.0 and l < last:
+            if rng is not None and layer.dropout_rate > 0.0 and l < last:
                 a, mask = apply_dropout(h, layer.dropout_rate, rng)
             else:
                 a, mask = h, None
@@ -264,7 +245,7 @@ class Network:
             delta = (out - target) / n_batch
         else:
             d_out = 2.0 * (out - target) / n_batch
-            delta = d_out * _activation_deriv(layers[-1].activation, out)
+            delta = d_out * _ACTIVATIONS[layers[-1].activation][1](out)
 
         parts = []  # filled last layer first, bias before weights: theta order reversed
         for l in range(len(layers) - 1, -1, -1):
@@ -274,34 +255,18 @@ class Network:
                 da = delta @ self.weights[l]
                 if cache.masks[l - 1] is not None:
                     da = da * cache.masks[l - 1]
-                delta = da * _activation_deriv(layers[l - 1].activation, cache.hidden[l - 1])
+                delta = da * _ACTIVATIONS[layers[l - 1].activation][1](cache.hidden[l - 1])
         return np.concatenate(parts[::-1])
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
-    """Glorot-uniform weights, zero biases, drawn from one seeded stream."""
+    """Glorot-uniform weights, zero biases, drawn layer by layer from one seeded stream."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for layer in spec.layers:
+    net = Network(spec, np.zeros(spec.param_count))
+    for layer, w in zip(spec.layers, net.weights):
         limit = np.sqrt(6.0 / (layer.fan_in + layer.fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(layer.fan_out, layer.fan_in)))
-        biases.append(np.zeros(layer.fan_out))
-    return Network(spec, weights, biases)
-
-
-@dataclass
-class AdadeltaState:
-    """Running averages of squared gradients (eg2) and updates (ed2), laid out like `theta`."""
-
-    rho: float
-    eps: float
-    eg2: np.ndarray
-    ed2: np.ndarray
-
-    @classmethod
-    def for_params(cls, theta: np.ndarray, rho: float = 0.95,
-                   eps: float = 1e-6) -> "AdadeltaState":
-        return cls(rho=rho, eps=eps, eg2=np.zeros_like(theta), ed2=np.zeros_like(theta))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return net
 
 
 def adadelta_update(eg2: np.ndarray, ed2: np.ndarray, grad: np.ndarray,
@@ -313,9 +278,10 @@ def adadelta_update(eg2: np.ndarray, ed2: np.ndarray, grad: np.ndarray,
     return delta, eg2, ed2
 
 
-def adadelta_step(state: AdadeltaState, theta: np.ndarray, grad: np.ndarray) -> None:
-    """Apply one adadelta step to `theta` in place."""
-    delta, state.eg2, state.ed2 = adadelta_update(state.eg2, state.ed2, grad, state.rho, state.eps)
+def adadelta_step(theta: np.ndarray, grad: np.ndarray, state: tuple, opt: Adadelta) -> None:
+    """Apply one adadelta step to `theta`; `state` is (eg2, ed2), updated in place."""
+    eg2, ed2 = state
+    delta, eg2[...], ed2[...] = adadelta_update(eg2, ed2, grad, opt.rho, opt.eps)
     theta += delta
 
 
@@ -337,9 +303,8 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
     theta = net.theta
-    state = None
-    if isinstance(cfg.optimizer, Adadelta):
-        state = AdadeltaState.for_params(theta, cfg.optimizer.rho, cfg.optimizer.eps)
+    opt = cfg.optimizer
+    state = (np.zeros_like(theta), np.zeros_like(theta))  # adadelta's eg2 and ed2
 
     history = []
     for epoch in range(cfg.epochs):
@@ -347,13 +312,13 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            cache = net.forward(x[idx], train_mode=True, rng=rng)
+            cache = net.forward(x[idx], rng=rng)
             batch_losses.append(net.loss(cache.output, y[idx]))
             grad = net.backward(cache, y[idx])
-            if state is not None:
-                adadelta_step(state, theta, grad)
+            if isinstance(opt, Adadelta):
+                adadelta_step(theta, grad, state, opt)
             else:
-                sgd_step(theta, grad, cfg.optimizer.lr)
+                sgd_step(theta, grad, opt.lr)
         epoch_loss = float(np.mean(batch_losses))
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")

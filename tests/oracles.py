@@ -130,7 +130,7 @@ def train_per_tensor(net, x, y, cfg):
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            cache = net.forward(x[idx], train_mode=True, rng=rng)
+            cache = net.forward(x[idx], rng=rng)
             losses.append(net.loss(cache.output, y[idx]))
             grads = [g for pair in net.split(net.backward(cache, y[idx])) for g in pair]
             for i, (t, g) in enumerate(zip(tensors, grads)):

@@ -88,11 +88,17 @@ class TestSwissRoll:
         ds = gen_swiss_roll(SwissRollConfig(seed=6))
         t = ds.truth
         assert np.array_equal(ds.y_obs, np.where(ds.w == 1, t.y1, t.y0))
-        assert np.array_equal(t.ite_true, t.y1 - t.y0)
 
-    def test_outcome_noise_keeps_effect_exact(self):
-        ds = gen_swiss_roll(SwissRollConfig(outcome_noise_sigma=0.5, seed=7))
-        assert np.array_equal(ds.truth.ite_true, ds.truth.y1 - ds.truth.y0)
+    def test_outcome_noise_draws_each_potential_outcome_apart(self):
+        clean = gen_swiss_roll(SwissRollConfig(outcome_noise_sigma=0.0, seed=7))
+        noisy = gen_swiss_roll(SwissRollConfig(outcome_noise_sigma=0.5, seed=7))
+        assert np.array_equal(clean.x, noisy.x) and np.array_equal(clean.w, noisy.w)
+        shift0 = noisy.truth.y0 - clean.truth.y0
+        shift1 = noisy.truth.y1 - clean.truth.y1
+        assert np.all(shift0 != 0.0) and np.all(shift1 != 0.0)
+        # one shared draw would move both outcomes alike and leave the effect unchanged
+        assert np.all(shift0 != shift1)
+        assert np.all(noisy.truth.ite_true != clean.truth.ite_true)
 
     def test_same_seed_identical(self):
         a = gen_swiss_roll(SwissRollConfig(seed=8))

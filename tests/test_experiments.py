@@ -481,6 +481,8 @@ class TestCli:
             ("gradcheck", "null", [], "config must be a JSON object"),
             ("swissroll", '{"dataset": null}', [], "config.dataset must be a JSON object"),
             ("gradcheck", '{"count": 2, "count": 3}', [], "config: duplicate key 'count'"),
+            # appended last: the ids of the cases with an `extra` list count their position
+            ("propensity", '{"logistic": {"max_iter": 0}}', [], "config.logistic.max_iter"),
         ],
     )
     def test_bad_values_rejected_at_parse_exit_1(self, tmp_path, capsys, command, text, extra, path):

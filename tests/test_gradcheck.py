@@ -3,9 +3,9 @@ import pytest
 
 from deepmatch.gradcheck import (
     GradCheckCase,
+    _worst_relative_error,
     default_grid,
     finite_difference_gradients,
-    max_relative_gradient_error,
     run_case,
 )
 from deepmatch.network import LayerSpec, NetworkSpec, init_network
@@ -62,13 +62,15 @@ def test_error_metric_flags_disagreement():
     net = init_network(spec, seed=3)
     x = np.random.default_rng(2).standard_normal((4, 2))
     y = np.random.default_rng(3).standard_normal((4, 1))
-    baseline = max_relative_gradient_error(net, x, y)
+    analytic = net.backward(net.forward(x), y)
+    numeric = finite_difference_gradients(net, x, y)
+    baseline = _worst_relative_error(net, analytic, numeric)
     assert baseline < 1e-6
-    cache = net.forward(x)
-    (aw, _), = net.split(net.backward(cache, y))
+    (aw, _), = net.split(analytic)
     aw[0, 0] += 1.0
-    (nw, _), = net.split(finite_difference_gradients(net, x, y))
+    (nw, _), = net.split(numeric)
     assert abs(aw[0, 0] - nw[0, 0]) > 0.5
+    assert _worst_relative_error(net, analytic, numeric) > 1e-2
 
 
 def test_named_case_round_trips_fields():

@@ -224,7 +224,7 @@ class TestEstimateEffects:
     def test_estimate_invariants_enforced(self):
         for ite in ([1.0, np.nan], [np.inf, 2.0], []):
             with pytest.raises(ValueError, match="finite"):
-                EffectEstimate(ite=np.array(ite), k=1)
+                EffectEstimate(ite=np.array(ite))
 
 
 class TestPooledEffects:

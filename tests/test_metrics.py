@@ -29,7 +29,7 @@ def make_truth(ite, seed=0):
 
 
 def make_estimate(ite):
-    return EffectEstimate(ite=np.asarray(ite, dtype=float), k=1)
+    return EffectEstimate(ite=np.asarray(ite, dtype=float))
 
 
 class TestReportRecords:

@@ -6,7 +6,6 @@ import pytest
 from deepmatch.embedding import autoencoder_spec
 from deepmatch.network import (
     Adadelta,
-    AdadeltaState,
     LayerSpec,
     Network,
     NetworkSpec,
@@ -69,7 +68,42 @@ class TestSpecValidation:
             LayerSpec(2, 2, dropout_rate=1.0)
 
 
+class TestConstructor:
+    def test_adopts_theta_without_copying(self):
+        spec = NetworkSpec((LayerSpec(2, 3, activation="tanh"), LayerSpec(3, 1)))
+        theta = np.arange(spec.param_count, dtype=float)
+        net = Network(spec, theta)
+        assert net.theta is theta
+        assert net.weights[0][1, 0] == 2.0 and net.biases[0][0] == 6.0
+        theta[0] = -1.0
+        assert net.weights[0][0, 0] == -1.0
+
+    @pytest.mark.parametrize(
+        "theta",
+        [np.zeros(11), np.zeros((1, 12)), np.zeros(12, dtype=np.int64)],
+        ids=["wrong_length", "two_dimensional", "integer"],
+    )
+    def test_malformed_theta_rejected(self, theta):
+        spec = NetworkSpec((LayerSpec(3, 3),))
+        with pytest.raises(ValueError, match="param_count=12"):
+            Network(spec, theta)
+
+
 class TestInit:
+    def test_draw_order_pinned_layer_by_layer(self):
+        spec = NetworkSpec((
+            LayerSpec(3, 4, activation="tanh"),
+            LayerSpec(4, 2, activation="relu"),
+            LayerSpec(2, 5),
+        ))
+        rng = np.random.default_rng(17)
+        parts = []
+        for layer in spec.layers:
+            limit = np.sqrt(6.0 / (layer.fan_in + layer.fan_out))
+            parts.append(rng.uniform(-limit, limit, (layer.fan_out, layer.fan_in)).ravel())
+            parts.append(np.zeros(layer.fan_out))
+        assert np.array_equal(init_network(spec, seed=17).theta, np.concatenate(parts))
+
     def test_same_seed_bitwise_identical(self):
         spec = classifier_spec()
         a = init_network(spec, seed=11)
@@ -97,7 +131,7 @@ class TestForward:
         spec = NetworkSpec(
             (LayerSpec(2, 2, activation="softmax"),), loss="categorical_cross_entropy"
         )
-        net = Network(spec, [np.zeros((2, 2))], [np.zeros(2)])
+        net = Network(spec, np.zeros(6))
         out = net.predict(np.array([[3.0, -1.0]]))
         assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
@@ -112,17 +146,17 @@ class TestForward:
 
     def test_relu_definition(self):
         spec = NetworkSpec((LayerSpec(2, 2, activation="relu"),))
-        net = Network(spec, [np.eye(2)], [np.zeros(2)])
+        net = Network(spec, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
         assert np.array_equal(net.predict(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
 
     def test_zero_dropout_train_equals_eval(self):
         spec = NetworkSpec((LayerSpec(3, 5, activation="tanh"), LayerSpec(5, 2)))
         net = init_network(spec, seed=4)
         x = np.random.default_rng(1).standard_normal((6, 3))
-        train_out = net.forward(x, train_mode=True, rng=np.random.default_rng(0)).output
+        train_out = net.forward(x, rng=np.random.default_rng(0)).output
         assert np.array_equal(train_out, net.predict(x))
 
-    def test_dropout_active_only_in_train_mode(self):
+    def test_dropout_active_only_with_rng(self):
         spec = NetworkSpec(
             (LayerSpec(3, 50, activation="sigmoid", dropout_rate=0.5), LayerSpec(50, 2))
         )
@@ -131,7 +165,7 @@ class TestForward:
         eval_a = net.predict(x)
         eval_b = net.predict(x)
         assert np.array_equal(eval_a, eval_b)
-        t1 = net.forward(x, train_mode=True, rng=np.random.default_rng(8)).output
+        t1 = net.forward(x, rng=np.random.default_rng(8)).output
         assert not np.array_equal(t1, eval_a)
 
     def test_input_width_mismatch_rejected(self):
@@ -217,9 +251,7 @@ class TestBackward:
     def test_linear_unit_hand_derivative(self):
         # single 1->1 identity layer, x=1, target=0: loss = (w + b)^2, dL/dw = 2w at b=0
         for w0 in (0.3, -1.7, 2.0):
-            net = Network(
-                NetworkSpec((LayerSpec(1, 1),)), [np.array([[w0]])], [np.zeros(1)]
-            )
+            net = Network(NetworkSpec((LayerSpec(1, 1),)), np.array([w0, 0.0]))
             cache = net.forward(np.array([[1.0]]))
             (dw, db), = net.split(net.backward(cache, np.array([[0.0]])))
             assert dw[0, 0] == pytest.approx(2.0 * w0, rel=1e-15)
@@ -267,13 +299,13 @@ class TestAdadelta:
             assert np.allclose(ed2_new, ed2_ref, atol=1e-12, rtol=0)
 
     def test_zero_gradient_keeps_params_and_decays_ed2(self):
-        net = Network(NetworkSpec((LayerSpec(1, 1),)), [np.array([[1.0]])], [np.array([-2.0])])
-        state = AdadeltaState.for_params(net.theta)
-        state.ed2 = np.array([0.4, 0.8])
-        adadelta_step(state, net.theta, np.zeros(2))
+        net = Network(NetworkSpec((LayerSpec(1, 1),)), np.array([1.0, -2.0]))
+        eg2, ed2 = np.zeros(2), np.array([0.4, 0.8])
+        adadelta_step(net.theta, np.zeros(2), (eg2, ed2), Adadelta())
         (w, b), = net.split(net.theta)
         assert w[0, 0] == 1.0 and b[0] == -2.0
-        assert np.allclose(state.ed2, [0.95 * 0.4, 0.95 * 0.8], rtol=1e-15)
+        assert np.array_equal(eg2, np.zeros(2))
+        assert np.allclose(ed2, [0.95 * 0.4, 0.95 * 0.8], rtol=1e-15)
 
     def test_update_opposes_gradient_sign(self):
         rng = np.random.default_rng(4)

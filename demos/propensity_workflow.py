@@ -14,7 +14,6 @@ from deepmatch import (
     balance_report,
     fit_propensity,
     gen_propensity_pairs,
-    holdout_accuracy,
     log_odds,
     misassignment_report,
     propensity_match,
@@ -39,32 +38,31 @@ def show_balance(ds, scores):
 
 def main(seed=0):
     ds = gen_propensity_pairs(500, 0.02, seed=seed)
-    cfg = PropensityFitConfig(seed=seed, epochs=2, batch_size=128)
+    cfg = PropensityFitConfig(seed=seed)
     print(f"{ds.n_units} units: 500 treated, 500 jittered controls\n")
 
     for kind in ("logistic", "propensity_net"):
-        result = fit_propensity(kind, ds.x, ds.w, cfg)
-        scores = result.model.predict(ds.x)
-        print(kind)
-        if kind == "logistic":
-            coef = ", ".join(f"{c:+.3f}" for c in result.model.coef)
-            print(f"  intercept {result.model.intercept:+.3f}, coefficients ({coef})")
-        print(
-            f"  scores span [{scores.min():.4f}, {scores.max():.4f}], "
-            f"log odds span [{log_odds(scores).min():+.4f}, {log_odds(scores).max():+.4f}]"
-        )
-        print(f"  held-out accuracy {100 * holdout_accuracy(result, ds.x, ds.w):.2f}%")
-
+        model, test_idx = fit_propensity(kind, ds.x, ds.w, cfg)
+        scores = model.predict(ds.x)
         queries, matched = propensity_match(scores, ds.w, query_arm=1)
         report = misassignment_report(
             queries,
             matched,
             ds.truth.pair_index,
-            threshold_labels(scores[result.test_indices]),
-            ds.w[result.test_indices],
+            threshold_labels(scores[test_idx]),
+            ds.w[test_idx],
             method=kind,
             seed=seed,
         )
+        print(kind)
+        if kind == "logistic":
+            coef = ", ".join(f"{c:+.3f}" for c in model.coef)
+            print(f"  intercept {model.intercept:+.3f}, coefficients ({coef})")
+        print(
+            f"  scores span [{scores.min():.4f}, {scores.max():.4f}], "
+            f"log odds span [{log_odds(scores).min():+.4f}, {log_odds(scores).max():+.4f}]"
+        )
+        print(f"  held-out accuracy {report.accuracy_pct:.2f}%")
         print(
             f"  matched on score: {report.misassignment_rate_pct:.1f}% miss their partner, "
             f"mean index error {report.mean_abs_misassignment_error_pct:.1f}%"

@@ -65,7 +65,6 @@ from .propensity import (
     PropensityFitConfig,
     balance_report,
     build_propensity_net,
-    holdout_accuracy,
     log_odds,
 )
 from .propensity import fit as fit_propensity
@@ -105,7 +104,6 @@ __all__ = [
     "fit_propensity",
     "gen_propensity_pairs",
     "gen_swiss_roll",
-    "holdout_accuracy",
     "init_network",
     "ite_error",
     "lle_weight_matrix",

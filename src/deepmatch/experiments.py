@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -35,7 +35,6 @@ from .metrics import (
     REFERENCE_MISASSIGNMENT,
     ite_error,
     misassignment_report,
-    report_to_dict,
     threshold_labels,
 )
 from .network import TrainConfig
@@ -275,7 +274,7 @@ class PropensityRun:
     include_outcome: bool = False
     query_arm: int = 1
     threshold: float = 0.5
-    fit: PropensityFitConfig = PropensityFitConfig(epochs=2, batch_size=128)
+    fit: PropensityFitConfig = PropensityFitConfig()
 
 
 PROPENSITY_FIELDS = (
@@ -417,11 +416,11 @@ def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
             reports.append(ite_error(est, ds.truth, test_mask, method=method, seed=cfg.seed))
         with _stage(f"write:{method}"):
             header = ["index", "split", "group", "w"] + [f"z{j+1}" for j in range(z.shape[1])]
-            rows = [
-                [i, split_label[i], int(ds.truth.group[i]), int(ds.w[i])] + [float(v) for v in z[i]]
-                for i in range(ds.n_units)
-            ]
-            _write_csv(out / f"embedding_{method}.csv", header, rows)
+            # Python scalars, so each cell prints as repr(float) or str(int)
+            columns = (np.arange(ds.n_units), split_label, ds.truth.group, ds.w, *z.T)
+            _write_csv(
+                out / f"embedding_{method}.csv", header, zip(*(c.tolist() for c in columns))
+            )
 
     with _stage("write"):
         _write_results(
@@ -429,7 +428,7 @@ def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
             "swissroll",
             cfg,
             {
-                "reports": [report_to_dict(r) for r in reports],
+                "reports": [asdict(r) for r in reports],
             },
             ["method", "mean_abs_ite_error", "ate_error", "n_test", "seed"],
             [
@@ -454,20 +453,19 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
     reports = []
     for method in cfg.methods:
         with _stage(f"fit:{method}"):
-            fit_result = fit_propensity(method, features, ds.w, cfg.fit)
+            model, test_idx = fit_propensity(method, features, ds.w, cfg.fit)
         with _stage(f"score:{method}"):
-            scores = fit_result.model.predict(features)
+            scores = model.predict(features)
         with _stage(f"match:{method}"):
             queries, matched = propensity_match(scores, ds.w, query_arm=cfg.query_arm)
         with _stage(f"report:{method}"):
-            idx = fit_result.test_indices
             reports.append(
                 misassignment_report(
                     queries,
                     matched,
                     ds.truth.pair_index,
-                    threshold_labels(scores[idx], cfg.threshold),
-                    ds.w[idx],
+                    threshold_labels(scores[test_idx], cfg.threshold),
+                    ds.w[test_idx],
                     method=method,
                     seed=cfg.seed,
                 )
@@ -496,7 +494,7 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
             "propensity",
             cfg,
             {
-                "reports": [report_to_dict(r) for r in reports],
+                "reports": [asdict(r) for r in reports],
                 "reference": {
                     name: dict(zip(PROPENSITY_TABLE_COLUMNS, values))
                     for name, values in REFERENCE_MISASSIGNMENT.items()
@@ -555,7 +553,7 @@ def run_gradcheck(cfg: GradcheckRun, out_dir, force: bool = False):
 
 def _report_lines(template: str):
     """A summary of one line per report record, formatted from its fields."""
-    return lambda cfg, reports: ([template.format(**report_to_dict(r)) for r in reports], True)
+    return lambda cfg, reports: ([template.format(**asdict(r)) for r in reports], True)
 
 
 def _gradcheck_summary(cfg: GradcheckRun, result):

@@ -2,13 +2,13 @@
 
 EffectReport scores an EffectEstimate against the true effects of a held-out
 test set; PropensityReport scores `propensity_match`'s (queries, matched)
-index arrays against the known pairs. Both are plain dataclasses that
-round-trip through JSON dicts.
+index arrays against the known pairs. Both are plain dataclasses;
+`dataclasses.asdict` gives the JSON dict they round-trip through.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class PropensityReport:
             value = getattr(self, name)
             if not 0.0 <= value <= 100.0:
                 raise ValueError(f"{name} must be in [0, 100], got {value}")
-
-
-def report_to_dict(report) -> dict:
-    return asdict(report)
 
 
 def ite_error(

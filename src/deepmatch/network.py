@@ -76,6 +76,8 @@ class NetworkSpec:
         for layer in self.layers[:-1]:
             if layer.activation == "softmax":
                 raise ValueError("softmax is only allowed on the final layer")
+        if self.layers[-1].dropout_rate > 0.0:
+            raise ValueError("dropout is only allowed on hidden layers, not the final layer")
         final = self.layers[-1].activation
         if self.loss == "categorical_cross_entropy" and final != "softmax":
             raise ValueError("categorical_cross_entropy requires a softmax final layer")
@@ -198,14 +200,13 @@ class Network:
             raise ValueError(
                 f"input must be 2-D with {self.spec.input_dim} columns, got shape {x.shape}"
             )
-        last = len(self.spec.layers) - 1
         inputs, hidden, masks = [x], [], []
         a = x
         for l, layer in enumerate(self.spec.layers):
             z = a @ self.weights[l].T + self.biases[l]
             h = _ACTIVATIONS[layer.activation][0](z)
             hidden.append(h)
-            if rng is not None and layer.dropout_rate > 0.0 and l < last:
+            if rng is not None and layer.dropout_rate > 0.0:
                 a, mask = apply_dropout(h, layer.dropout_rate, rng)
             else:
                 a, mask = h, None

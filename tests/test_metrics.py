@@ -1,6 +1,7 @@
 """Report records, error metrics, and the silhouette coefficient."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from deepmatch.metrics import (
     PropensityReport,
     ite_error,
     misassignment_report,
-    report_to_dict,
     silhouette,
     threshold_labels,
 )
@@ -60,8 +60,8 @@ class TestReportRecords:
             accuracy_pct=62.0,
             seed=1,
         )
-        assert EffectReport(**json.loads(json.dumps(report_to_dict(effect)))) == effect
-        assert PropensityReport(**json.loads(json.dumps(report_to_dict(prop)))) == prop
+        assert EffectReport(**json.loads(json.dumps(asdict(effect)))) == effect
+        assert PropensityReport(**json.loads(json.dumps(asdict(prop)))) == prop
 
     def test_reference_constants_documented_values(self):
         assert REFERENCE_MISASSIGNMENT["logistic"] == (26.6, 38.0, 62.0)

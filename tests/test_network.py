@@ -55,6 +55,13 @@ class TestSpecValidation:
                 loss="mse",
             )
 
+    def test_dropout_only_on_hidden_layers(self):
+        NetworkSpec((LayerSpec(2, 3, dropout_rate=0.5), LayerSpec(3, 1)))
+        with pytest.raises(ValueError, match="final layer"):
+            NetworkSpec((LayerSpec(2, 3), LayerSpec(3, 1, dropout_rate=0.5)))
+        with pytest.raises(ValueError, match="final layer"):
+            NetworkSpec((LayerSpec(2, 2, dropout_rate=0.9),))
+
     def test_loss_activation_pairing(self):
         with pytest.raises(ValueError, match="softmax"):
             NetworkSpec((LayerSpec(2, 2),), loss="categorical_cross_entropy")

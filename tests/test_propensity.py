@@ -13,9 +13,10 @@ from deepmatch.propensity import (
     fit,
     fit_logistic,
     fit_propensity_net,
-    holdout_accuracy,
     log_odds,
 )
+from deepmatch.data import train_test_split
+from deepmatch.metrics import threshold_labels
 from deepmatch.network import init_network
 
 from oracles import irls_logistic
@@ -146,7 +147,7 @@ class TestPredict:
 
     def test_scores_in_unit_interval(self):
         x, w = logistic_sample(300, (0.0, 3.0, -2.0), 10)
-        net_model = fit_propensity_net(x, w, PropensityFitConfig(epochs=20, seed=0))
+        net_model = fit_propensity_net(x, w, PropensityFitConfig(epochs=20, batch_size=32, seed=0))
         scores = net_model.predict(x * 10)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
@@ -164,18 +165,31 @@ class TestPredict:
 class TestFitProtocol:
     def test_holdout_split_recorded(self):
         x, w = logistic_sample(200, (0.2, 1.0), 11)
-        result = fit("logistic", x, w, PropensityFitConfig(seed=4))
-        assert len(result.test_indices) == 40
-        assert len(result.train_indices) == 160
-        assert np.intersect1d(result.train_indices, result.test_indices).size == 0
-        both = fit("propensity_net", x, w, PropensityFitConfig(seed=4, epochs=2))
-        assert np.array_equal(result.test_indices, both.test_indices)
+        _, test_idx = fit("logistic", x, w, PropensityFitConfig(seed=4))
+        assert np.array_equal(test_idx, train_test_split(200, 0.2, 4)[1])
+        assert len(test_idx) == 40
+        assert np.array_equal(test_idx, np.unique(test_idx))
+        cfg = PropensityFitConfig(seed=4, epochs=2, batch_size=32)
+        _, net_test_idx = fit("propensity_net", x, w, cfg)
+        assert np.array_equal(test_idx, net_test_idx)
+
+    def test_training_fold_losing_a_class_rejected(self):
+        # one treated unit, placed in the seeded test fold: both classes are
+        # present overall, but the training fold holds controls only
+        x = np.random.default_rng(21).normal(size=(10, 2))
+        cfg = PropensityFitConfig(seed=3)
+        _, test_idx = train_test_split(10, cfg.test_fraction, cfg.seed)
+        w = np.zeros(10, dtype=int)
+        w[test_idx[0]] = 1
+        for kind in ("logistic", "propensity_net"):
+            with pytest.raises(ValueError, match="treatment class"):
+                fit(kind, x, w, cfg)
 
     def test_same_seed_same_scores(self):
         x, w = logistic_sample(150, (0.0, 1.0, 1.0), 12)
-        cfg = PropensityFitConfig(seed=9, epochs=5)
-        a = fit("propensity_net", x, w, cfg).model.predict(x)
-        b = fit("propensity_net", x, w, cfg).model.predict(x)
+        cfg = PropensityFitConfig(seed=9, epochs=5, batch_size=32)
+        a = fit("propensity_net", x, w, cfg)[0].predict(x)
+        b = fit("propensity_net", x, w, cfg)[0].predict(x)
         assert np.array_equal(a, b)
 
     def test_unknown_kind_rejected(self):
@@ -192,14 +206,14 @@ class TestFitProtocol:
             ]
         )
         w = np.array([0] * 100 + [1] * 100)
-        model = fit_propensity_net(x, w, PropensityFitConfig(seed=0))
+        model = fit_propensity_net(x, w, PropensityFitConfig(epochs=100, batch_size=32, seed=0))
         accuracy = np.mean((model.predict(x) >= 0.5).astype(int) == w)
         assert accuracy > 0.95
 
     def test_holdout_accuracy_range(self):
         x, w = logistic_sample(200, (0.0, 2.5), 15)
-        result = fit("logistic", x, w, PropensityFitConfig(seed=1))
-        acc = holdout_accuracy(result, x, w)
+        model, test_idx = fit("logistic", x, w, PropensityFitConfig(seed=1))
+        acc = np.mean(threshold_labels(model.predict(x[test_idx])) == w[test_idx])
         assert 0.5 < acc <= 1.0
 
 

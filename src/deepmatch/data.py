@@ -95,10 +95,6 @@ class ObservationalDataset:
     def n_units(self) -> int:
         return self.x.shape[0]
 
-    def arm_sizes(self) -> tuple[int, int]:
-        n1 = int(self.w.sum())
-        return self.n_units - n1, n1
-
 
 @dataclass(frozen=True)
 class SwissRollConfig:

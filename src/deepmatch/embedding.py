@@ -185,13 +185,6 @@ class AutoencoderEmbedder(Embedder):
     def _map(self, x: np.ndarray) -> np.ndarray:
         return self._encode((x - self.mean) / self.scale)
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        """Full round trip through the network, back in original coordinates."""
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) / self.scale
-        out = self.network.predict(z)
-        return out * self.scale + self.mean
-
 
 def autoencoder_spec(d: int, m: int, hidden: tuple[int, ...] = ()) -> NetworkSpec:
     """Symmetric reconstruction network d -> hidden -> m -> hidden -> d.

@@ -282,13 +282,13 @@ PROPENSITY_FIELDS = (
     Field("dataset.n_pairs", int, _at_least(2), ("n_pairs",)),
     Field("dataset.jitter_sigma", float, _POSITIVE, ("jitter_sigma",)),
     Field("methods", [str], _methods(PROPENSITY_METHODS)),
-    # Bounded by PropensityFitConfig, as are the logistic.* values.
+    # Bounded by PropensityFitConfig, as are the net.* and logistic.* values.
     Field("test_fraction", float, attrs=("fit.test_fraction",)),
     Field("include_outcome", bool),
     Field("query_arm", int, _ARM),
     Field("threshold", float, _OPEN_UNIT),
-    Field("net.epochs", int, _at_least(1), ("fit.epochs",)),
-    Field("net.batch_size", int, _at_least(1), ("fit.batch_size",)),
+    Field("net.epochs", int, attrs=("fit.epochs",)),
+    Field("net.batch_size", int, attrs=("fit.batch_size",)),
     Field("logistic.l2", float, attrs=("fit.l2",)),
     Field("logistic.max_iter", int, attrs=("fit.max_iter",)),
     Field("logistic.grad_tol", float, attrs=("fit.grad_tol",)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def off_diagonal_norm(a: np.ndarray) -> float:
+def _off_diagonal_norm(a: np.ndarray) -> float:
     """Frobenius norm of the off-diagonal part of a square matrix."""
     off = a - np.diag(np.diag(a))
     return float(np.linalg.norm(off))
@@ -42,7 +42,7 @@ def jacobi_eigh(
     if n == 1:
         return np.diag(d).copy(), v
 
-    converged = off_diagonal_norm(d) < tol
+    converged = _off_diagonal_norm(d) < tol
     for _ in range(max_sweeps):
         if converged:
             break
@@ -77,11 +77,11 @@ def jacobi_eigh(
                 rot_p = c * v[:, p] - s * v[:, q]
                 rot_q = s * v[:, p] + c * v[:, q]
                 v[:, p], v[:, q] = rot_p, rot_q
-        converged = off_diagonal_norm(d) < tol
+        converged = _off_diagonal_norm(d) < tol
     if not converged:
         raise RuntimeError(
             f"Jacobi did not reach off-diagonal norm {tol:g} in {max_sweeps} sweeps "
-            f"(final {off_diagonal_norm(d):.3e})"
+            f"(final {_off_diagonal_norm(d):.3e})"
         )
 
     eigvals = np.diag(d).copy()

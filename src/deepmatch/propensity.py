@@ -115,6 +115,10 @@ class PropensityFitConfig:
             raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _check_features(x, input_dim=None) -> np.ndarray:

@@ -8,13 +8,10 @@ import copy
 import json
 import math
 import re
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from deepmatch.experiments import (
     PROPENSITY_METHODS,
@@ -29,10 +26,6 @@ from deepmatch.experiments import (
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, database=None, deadline=None)
-
-# Hypothesis caches the constants it finds in local source files under its
-# home directory, ./.hypothesis by default, already while pytest collects.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "deepmatch-hypothesis")
 
 
 def real(lo, hi, open_low=False, open_high=False):

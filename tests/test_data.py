@@ -39,8 +39,8 @@ class TestSwissRoll:
     def test_shapes_and_arm_balance(self):
         ds = gen_swiss_roll(SwissRollConfig(seed=0))
         assert ds.x.shape == (1500, 3)
-        n0, n1 = ds.arm_sizes()
-        assert n0 + n1 == 1500
+        n1 = int(ds.w.sum())
+        n0 = ds.n_units - n1
         assert min(n0, n1) > 600  # Bernoulli(0.5) far from degenerate
 
     def test_six_equal_bands(self):

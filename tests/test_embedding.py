@@ -107,7 +107,7 @@ class TestAutoencoder:
     def test_plane_reconstruction_mse_under_default_epochs(self):
         x = plane_data(n=300, seed=10)
         emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=400, seed=0))
-        recon = emb.reconstruct(x)
+        recon = emb.network.predict((x - emb.mean) / emb.scale) * emb.scale + emb.mean
         assert np.mean((recon - x) ** 2) < 1e-2
 
     def test_m_equal_d_rejected(self):

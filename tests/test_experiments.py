@@ -483,6 +483,7 @@ class TestCli:
             ("gradcheck", '{"count": 2, "count": 3}', [], "config: duplicate key 'count'"),
             # appended last: the ids of the cases with an `extra` list count their position
             ("propensity", '{"logistic": {"max_iter": 0}}', [], "config.logistic.max_iter"),
+            ("propensity", '{"net": {"batch_size": 0}}', [], "config.net.batch_size"),
         ],
     )
     def test_bad_values_rejected_at_parse_exit_1(self, tmp_path, capsys, command, text, extra, path):

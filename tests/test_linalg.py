@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deepmatch.linalg import jacobi_eigh, off_diagonal_norm, symmetric_eigh
+from deepmatch.linalg import jacobi_eigh, symmetric_eigh
 from oracles import eigvals_3x3_closed_form
 
 
@@ -11,9 +11,14 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 def test_off_diagonal_norm_known_values():
+    # off-diagonal norm sqrt(8): a tolerance above it stops before any rotation
     a = np.array([[1.0, 2.0], [2.0, 5.0]])
-    assert off_diagonal_norm(a) == pytest.approx(np.sqrt(8.0), rel=1e-15)
-    assert off_diagonal_norm(np.eye(4)) == 0.0
+    vals, vecs = jacobi_eigh(a, tol=np.sqrt(8.0) * (1 + 1e-15))
+    assert vals.tolist() == [1.0, 5.0] and np.array_equal(vecs, np.eye(2))
+    vals, _ = jacobi_eigh(a, tol=np.sqrt(8.0) * (1 - 1e-15))
+    assert np.allclose(vals, [3.0 - np.sqrt(8.0), 3.0 + np.sqrt(8.0)], atol=1e-12)
+    vals, vecs = jacobi_eigh(4.0 * np.eye(4), tol=1e-300)
+    assert vals.tolist() == [4.0] * 4 and np.array_equal(vecs, np.eye(4))
 
 
 def test_eigenvalues_match_characteristic_cubic_roots():

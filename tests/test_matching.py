@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepmatch import matching
 from deepmatch.data import SwissRollConfig, duplicate_twins, gen_swiss_roll
@@ -40,6 +44,88 @@ def scan_pool(query, pool, k):
     z = [list(query)] + pool.tolist()
     idx, dist = knn_scan(z, [1] + [0] * pool.shape[0], 0, k)
     return [j - 1 for j in idx], dist
+
+
+@st.composite
+def knn_cases(draw, dims=st.integers(1, 5)):
+    """(queries, pool, k) on a coarse grid at one scale, with repeated pool rows.
+
+    The scale puts coordinates at 1, at the 1e-154 underflow floor of a
+    squared difference, far below it, or at 1e150; queries reach past the
+    pool's range on every side.
+    """
+    d = draw(dims)
+    scale = draw(st.sampled_from([1.0, 1e-154, 1e-162, 1e150]))
+    coords = st.one_of(st.integers(-3, 3), st.floats(-3, 3).map(lambda v: round(v, 2)))
+    rows = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=30))
+    pool = np.array([rows[i] for i in picks], dtype=float).reshape(-1, d) * scale
+    wide = st.one_of(coords, st.integers(-9, 9))
+    queries = draw(st.lists(st.lists(wide, min_size=d, max_size=d), min_size=1, max_size=8))
+    queries = np.array(queries, dtype=float).reshape(-1, d) * scale
+    k = draw(st.one_of(st.just(pool.shape[0]), st.integers(1, pool.shape[0])))
+    return queries, pool, k
+
+
+def assert_scan_exact(queries, pool, k):
+    idx, dist = knn(queries, pool, k)
+    assert idx.shape == dist.shape == (queries.shape[0], k)
+    for r, q in enumerate(queries):
+        assert (idx[r].tolist(), dist[r].tolist()) == scan_pool(q, pool, k)
+
+
+KNN_PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+class TestKnnProperties:
+    @KNN_PROPERTY
+    @given(case=knn_cases(), query_block=st.sampled_from([1, 2, 128]))
+    def test_agrees_with_scan_oracle(self, case, query_block):
+        # small query blocks give each query a window of its own
+        with mock.patch.object(matching, "_QUERY_BLOCK", query_block):
+            assert_scan_exact(*case)
+
+    @settings(KNN_PROPERTY, max_examples=25)
+    @given(case=knn_cases(dims=st.integers(64, 70)))
+    def test_agrees_with_scan_oracle_past_63_columns(self, case):
+        # 63 // d = 0 key bits: every Z-order key is equal, the bound stays valid
+        assert_scan_exact(*case)
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_one_dimensional_all_equal_scores(self, n):
+        # every pool row ties at distance 0: each query takes rows 0..k-1
+        for k in sorted({1, min(3, n), n}):
+            idx, dist = knn(np.full((5, 1), 0.25), np.full((n, 1), 0.25), k)
+            assert idx.tolist() == [list(range(k))] * 5
+            assert dist.tolist() == [[0.0] * k] * 5
+
+    def test_zero_columns_every_distance_zero(self):
+        idx, dist = knn(np.zeros((3, 0)), np.zeros((5, 0)), 4)
+        assert idx.tolist() == [[0, 1, 2, 3]] * 3
+        assert dist.tolist() == [[0.0] * 4] * 3
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 700])
+    def test_scan_blocks_stay_within_block_entries(self, monkeypatch, block_entries):
+        rng = np.random.default_rng(34)
+        cases = [
+            (np.full((40, 1), 0.5), np.full((90, 1), 0.5), 4),  # the window is the whole pool
+            (rng.standard_normal((60, 3)), rng.standard_normal((200, 3)), 5),
+        ]
+        want = [knn(*case) for case in cases]
+        monkeypatch.setattr(matching, "_BLOCK_ENTRIES", block_entries)
+        scan = matching._scan
+        shapes = []
+
+        def recording_scan(block, pool, k):
+            shapes.append((block.shape[0], pool.shape[0]))
+            return scan(block, pool, k)
+
+        monkeypatch.setattr(matching, "_scan", recording_scan)
+        for case, (want_idx, want_dist) in zip(cases, want):
+            idx, dist = knn(*case)
+            assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+        assert shapes
+        assert all(rows == 1 or rows * width <= block_entries for rows, width in shapes)
 
 
 class TestKnnKernel:

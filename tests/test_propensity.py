@@ -116,6 +116,8 @@ class TestFitLogistic:
             {"grad_tol": 0.0},
             {"max_iter": 0},
             {"max_iter": -5},
+            {"epochs": 0},
+            {"batch_size": 0},
         ],
     )
     def test_fit_config_rejects_bad_values(self, bad):
@@ -184,6 +186,14 @@ class TestFitProtocol:
         for kind in ("logistic", "propensity_net"):
             with pytest.raises(ValueError, match="treatment class"):
                 fit(kind, x, w, cfg)
+
+    @pytest.mark.parametrize("kind", ["logistic", "propensity_net"])
+    def test_schedule_rejected_before_either_kind_fits(self, kind):
+        # the logistic fit ignores the schedule, yet a zero one is still refused
+        x, w = logistic_sample(50, (0.0, 1.0), 13)
+        for bad in ({"epochs": 0}, {"batch_size": 0}):
+            with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must be >= 1"):
+                fit(kind, x, w, PropensityFitConfig(**bad))
 
     def test_same_seed_same_scores(self):
         x, w = logistic_sample(150, (0.0, 1.0, 1.0), 12)

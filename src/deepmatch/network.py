@@ -7,29 +7,53 @@ passed), exact layer-by-layer gradients for mean squared error and categorical
 cross-entropy, SGD and adadelta update rules, and a mini-batch training loop.
 No autodiff framework is involved; the finite-difference harness in
 `gradcheck` exists precisely to keep these gradients honest.
+
+A training step on small layers is numpy call overhead, not arithmetic. So
+`forward` and `backward` write into preallocated arrays with `out=` ufuncs:
+a `ForwardPass` workspace and a gradient vector, which `train` makes once per
+batch length. Called without them, they allocate, so `predict` and
+`gradcheck` run the same code. Products use `np.dot`, which calls the same
+dgemm as `@` for any operand with a unit stride, at less cost per call. None
+of this moves a bit: every array is formed by the same operations, in the
+same order, as when it was freshly allocated, and an output buffer does not
+change how numpy evaluates an operation. Only a multiplication by the
+identity's derivative, 1.0, is skipped, because it is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray) -> None:
+    np.subtract(z, z.max(axis=1, keepdims=True), out=z)
+    np.exp(z, out=z)
+    np.divide(z, z.sum(axis=1, keepdims=True), out=z)
 
 
-# name -> (function of the pre-activation, its derivative expressed through the output).
-# Softmax has none: it only feeds cross-entropy, whose logit gradient backward forms directly.
+def _sigmoid(z: np.ndarray) -> None:
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(1.0, z, out=z)
+    np.divide(1.0, z, out=z)
+
+
+# name -> (the function, applied in place to the pre-activation z; its
+# derivative, expressed through the output h and written into `out`). The
+# identity needs neither: it leaves z as it is, and multiplying by its
+# derivative, 1.0, is exact. Softmax has no derivative: it only feeds
+# cross-entropy, whose logit gradient backward forms directly.
 _ACTIVATIONS = {
-    "identity": (lambda z: z, np.ones_like),
-    "relu": (lambda z: np.maximum(0.0, z), lambda out: (out > 0.0).astype(float)),
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda out: out * (1.0 - out)),
-    "tanh": (np.tanh, lambda out: 1.0 - out**2),
+    "identity": (None, None),
+    "relu": (lambda z: np.maximum(0.0, z, out=z), lambda h, out: np.greater(h, 0.0, out=out)),
+    "sigmoid": (_sigmoid, lambda h, out: np.multiply(h, np.subtract(1.0, h, out=out), out=out)),
+    "tanh": (lambda z: np.tanh(z, out=z),
+             lambda h, out: np.subtract(1.0, np.square(h, out=out), out=out)),
     "softmax": (_softmax, None),
 }
 LOSSES = ("mse", "categorical_cross_entropy")
@@ -117,6 +141,11 @@ class Adadelta:
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
+    @cached_property
+    def _operands(self) -> tuple:
+        """(rho, eps, 1 - rho) as 0-d arrays: faster ufunc operands than floats."""
+        return np.array(self.rho), np.array(self.eps), np.array(1.0 - self.rho)
+
 
 Optimizer = Union[Sgd, Adadelta]
 
@@ -135,24 +164,37 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator):
+def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator, out=None):
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
     Returns (dropped activations, mask); the mask already carries the 1/(1-rate)
-    scaling so that applying it is a single multiply in both passes.
+    scaling so that applying it is a single multiply in both passes. `out` is
+    an optional (dropped, mask) pair of C-ordered arrays shaped like `h`.
     """
     keep = 1.0 - rate
-    mask = (rng.random(h.shape) < keep).astype(float) / keep
-    return h * mask, mask
+    dropped, mask = (np.empty(h.shape), np.empty(h.shape)) if out is None else out
+    rng.random(out=mask)
+    np.less(mask, keep, out=mask)
+    np.divide(mask, keep, out=mask)
+    np.multiply(h, mask, out=dropped)
+    return dropped, mask
 
 
 @dataclass
 class ForwardPass:
-    """Cached intermediate state of one forward pass, consumed by backward."""
+    """The arrays of one forward pass over a batch, and its backward scratch.
 
-    inputs: list   # layer inputs: inputs[l] feeds layer l; inputs[-1] is the output
-    hidden: list   # pre-dropout layer outputs
-    masks: list    # dropout mask per layer (None where inactive)
+    `Network.workspace` allocates one for a batch length and `forward` fills
+    it; `backward` reads it and adds its scratch on the first call. So a
+    training loop can reuse one per batch length.
+    """
+
+    inputs: list    # layer inputs: inputs[l] feeds layer l; inputs[-1] is the output
+    hidden: list    # pre-dropout layer outputs
+    masks: list     # dropout mask per layer (None where inactive)
+    dropout: bool   # made for passes with dropout, which draw from an rng
+    residual: np.ndarray | None = None  # output - target, written by backward
+    scratch: list | None = None  # backward's two arrays per layer, shaped like its output
 
     @property
     def output(self) -> np.ndarray:
@@ -179,6 +221,7 @@ class Network:
         views = self.split(theta)
         self.weights = [w for w, _ in views]
         self.biases = [b for _, b in views]
+        self._split_memo = (None, None)  # (the last gradient vector, its split views)
 
     def split(self, flat: np.ndarray) -> list:
         """Per-layer (W, b) views of a vector laid out like `theta`."""
@@ -193,26 +236,49 @@ class Network:
             start = stop
         return views
 
-    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None) -> ForwardPass:
-        """Forward pass; dropout runs, drawing from `rng`, iff an `rng` is passed."""
+    def workspace(self, batch: int, dropout: bool = False) -> ForwardPass:
+        """Fresh arrays for a forward pass over `batch` rows.
+
+        With `dropout`, each layer with a dropout rate gets a mask and a
+        separate dropped output; it then needs an rng in `forward`.
+        """
+        inputs, hidden, masks = [None], [], []
+        for layer in self.spec.layers:
+            shape = (batch, layer.fan_out)
+            h = np.empty(shape)
+            drop = dropout and layer.dropout_rate > 0.0
+            hidden.append(h)
+            masks.append(np.empty(shape) if drop else None)
+            inputs.append(np.empty(shape) if drop else h)
+        return ForwardPass(inputs, hidden, masks, dropout)
+
+    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None,
+                out: ForwardPass | None = None) -> ForwardPass:
+        """Forward pass; dropout runs, drawing from `rng`, iff an `rng` is passed.
+
+        The pass is written into `out`, a workspace for this batch length made
+        with dropout iff an `rng` is passed; by default into a fresh one.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise ValueError(
                 f"input must be 2-D with {self.spec.input_dim} columns, got shape {x.shape}"
             )
-        inputs, hidden, masks = [x], [], []
-        a = x
+        cache = self.workspace(x.shape[0], dropout=rng is not None) if out is None else out
+        if cache.dropout != (rng is not None):
+            raise ValueError(f"a workspace made with dropout={cache.dropout} "
+                             f"needs {'an' if cache.dropout else 'no'} rng")
+        cache.inputs[0] = a = x
         for l, layer in enumerate(self.spec.layers):
-            z = a @ self.weights[l].T + self.biases[l]
-            h = _ACTIVATIONS[layer.activation][0](z)
-            hidden.append(h)
-            if rng is not None and layer.dropout_rate > 0.0:
-                a, mask = apply_dropout(h, layer.dropout_rate, rng)
-            else:
-                a, mask = h, None
-            masks.append(mask)
-            inputs.append(a)
-        return ForwardPass(inputs, hidden, masks)
+            h = np.dot(a, self.weights[l].T, out=cache.hidden[l])
+            np.add(h, self.biases[l], out=h)
+            activate = _ACTIVATIONS[layer.activation][0]
+            if activate is not None:
+                activate(h)
+            a = cache.inputs[l + 1]
+            if a is not h:
+                apply_dropout(h, layer.dropout_rate, rng, out=(a, cache.masks[l]))
+        return cache
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Deterministic eval-mode output (dropout off)."""
@@ -228,36 +294,62 @@ class Network:
         p = np.clip(output, CCE_CLAMP, 1.0)
         return float(np.mean(-np.sum(target * np.log(p), axis=1)))
 
-    def backward(self, cache: ForwardPass, target: np.ndarray) -> np.ndarray:
+    def backward(self, cache: ForwardPass, target: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Exact gradient of the loss w.r.t. `theta`, as one vector in its layout.
 
         `cache` must come from a forward pass over the same batch and dropout
-        masks.
+        masks. The gradient is written into `out` when given, else into a
+        fresh vector; `cache.residual` is left holding output - target.
         """
         target = np.asarray(target, dtype=float)
-        out = cache.output
-        if out.shape != target.shape:
-            raise ValueError(f"output {out.shape} vs target {target.shape}")
-        n_batch = out.shape[0]
+        output = cache.output
+        if output.shape != target.shape:
+            raise ValueError(f"output {output.shape} vs target {target.shape}")
+        grad = np.empty(self.spec.param_count) if out is None else out
+        if grad is not self._split_memo[0]:  # train passes one vector every step
+            self._split_memo = (grad, self.split(grad))
+        views = self._split_memo[1]
+        n_batch = np.array(float(output.shape[0]))  # 0-d: a faster operand than an int
         layers = self.spec.layers
+        last = len(layers) - 1
 
+        if cache.scratch is None:
+            cache.scratch = [(np.empty(h.shape), np.empty(h.shape)) for h in cache.hidden]
+        r = cache.residual = np.subtract(output, target, out=cache.residual)
+        d_out, spare = cache.scratch[last]
         if self.spec.loss == "categorical_cross_entropy":
             # Softmax + CCE collapse to (p - t) / B at the logits.
-            delta = (out - target) / n_batch
+            delta = np.divide(r, n_batch, out=d_out)
         else:
-            d_out = 2.0 * (out - target) / n_batch
-            delta = d_out * _ACTIVATIONS[layers[-1].activation][1](out)
+            np.add(r, r, out=d_out)  # exactly 2.0 * r
+            np.divide(d_out, n_batch, out=d_out)
+            delta = _times_derivative(layers[last].activation, output, d_out, spare)
 
-        parts = []  # filled last layer first, bias before weights: theta order reversed
-        for l in range(len(layers) - 1, -1, -1):
-            parts.append(delta.sum(axis=0))
-            parts.append((delta.T @ cache.inputs[l]).ravel())
+        for l in range(last, -1, -1):
+            dw, db = views[l]
+            np.add.reduce(delta, axis=0, out=db)
+            np.dot(delta.T, cache.inputs[l], out=dw)
             if l > 0:
-                da = delta @ self.weights[l]
+                da, spare = cache.scratch[l - 1]
+                np.dot(delta, self.weights[l], out=da)
                 if cache.masks[l - 1] is not None:
-                    da = da * cache.masks[l - 1]
-                delta = da * _ACTIVATIONS[layers[l - 1].activation][1](cache.hidden[l - 1])
-        return np.concatenate(parts[::-1])
+                    np.multiply(da, cache.masks[l - 1], out=da)
+                delta = _times_derivative(layers[l - 1].activation, cache.hidden[l - 1], da, spare)
+        return grad
+
+
+def _times_derivative(activation: str, h: np.ndarray, upstream: np.ndarray,
+                      spare: np.ndarray) -> np.ndarray:
+    """upstream * f'(h) for the layer output h, written into `spare`.
+
+    The identity's derivative is 1.0 everywhere, so `upstream` is returned as is.
+    """
+    derivative = _ACTIVATIONS[activation][1]
+    if derivative is None:
+        return upstream
+    derivative(h, spare)
+    return np.multiply(upstream, spare, out=spare)
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -270,24 +362,67 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     return net
 
 
+def adadelta_step(theta: np.ndarray, grad: np.ndarray, state: np.ndarray, opt: Adadelta,
+                  work: np.ndarray | None = None) -> None:
+    """One adadelta step (Zeiler 2012) on `theta`, in place.
+
+    `state` stacks the running averages eg2 and ed2 as one (2, *grad.shape)
+    array and is updated in place; `work` is optional (3, *grad.shape) scratch.
+    The operations are those of the formulas in `adadelta_update`, one by one,
+    so every value keeps their bits; theta - (-delta) is theta + delta exactly.
+    """
+    rho, eps, decay = opt._operands
+    if work is None:
+        work = np.empty((3,) + grad.shape)
+    eg2, ed2 = state[0], state[1]
+    roots, root_g, root_d, step = work[:2], work[0], work[1], work[2]
+    np.add(ed2, eps, out=root_d)           # ed2 + eps, before ed2 decays
+    np.multiply(state, rho, out=state)     # rho * eg2, rho * ed2
+    np.multiply(grad, grad, out=step)
+    np.multiply(step, decay, out=step)
+    np.add(eg2, step, out=eg2)             # eg2' = rho eg2 + (1 - rho) g^2
+    np.add(eg2, eps, out=root_g)
+    np.sqrt(roots, out=roots)
+    np.divide(root_d, root_g, out=step)
+    np.multiply(step, grad, out=step)      # step = -delta
+    np.subtract(theta, step, out=theta)
+    np.multiply(step, step, out=root_g)
+    np.multiply(root_g, decay, out=root_g)
+    np.add(ed2, root_g, out=ed2)           # ed2' = rho ed2 + (1 - rho) delta^2
+
+
 def adadelta_update(eg2: np.ndarray, ed2: np.ndarray, grad: np.ndarray,
                     rho: float, eps: float):
-    """One adadelta step on a single tensor; returns (delta, eg2', ed2')."""
-    eg2 = rho * eg2 + (1.0 - rho) * grad**2
-    delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * grad
-    ed2 = rho * ed2 + (1.0 - rho) * delta**2
-    return delta, eg2, ed2
+    """One adadelta step on a single tensor; returns (delta, eg2', ed2').
 
-
-def adadelta_step(theta: np.ndarray, grad: np.ndarray, state: tuple, opt: Adadelta) -> None:
-    """Apply one adadelta step to `theta`; `state` is (eg2, ed2), updated in place."""
-    eg2, ed2 = state
-    delta, eg2[...], ed2[...] = adadelta_update(eg2, ed2, grad, opt.rho, opt.eps)
-    theta += delta
+    delta = -sqrt(ed2 + eps) / sqrt(eg2' + eps) * grad with
+    eg2' = rho eg2 + (1 - rho) grad^2, and ed2' = rho ed2 + (1 - rho) delta^2.
+    It runs `adadelta_step` on a copy of the state and a parameter of -0.0:
+    -0.0 - s is exactly -s, signed zeros included.
+    """
+    state = np.array([eg2, ed2], dtype=float)
+    delta = np.full(np.shape(grad), -0.0)
+    adadelta_step(delta, np.asarray(grad, dtype=float), state, Adadelta(rho, eps))
+    return delta, state[0], state[1]
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
     theta -= lr * grad
+
+
+def _epoch_mse(residuals: np.ndarray, batch_size: int) -> float:
+    """The mean over batches of each batch's MSE, from the epoch's residual rows.
+
+    Each batch's loss is the mean over its rows of the row's sum of squares,
+    reduced as np.mean reduces the batch's own row sums, so it holds the same
+    bits as a loss taken batch by batch.
+    """
+    rows = np.sum(np.square(residuals), axis=1)
+    full = rows.shape[0] - rows.shape[0] % batch_size
+    batch_losses = np.sum(rows[:full].reshape(-1, batch_size), axis=1) / batch_size
+    if full < rows.shape[0]:
+        batch_losses = np.append(batch_losses, np.mean(rows[full:]))
+    return float(np.mean(batch_losses))
 
 
 def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
@@ -296,31 +431,53 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
 
     The history holds the mean batch loss of each epoch (length = cfg.epochs).
     Raises TrainingDiverged as soon as a loss or parameter goes non-finite.
+
+    Each epoch gathers its shuffled rows once and steps through contiguous
+    slices of them, reusing one workspace per batch length (the full batch
+    and the last one), one gradient vector and the adadelta state. An MSE
+    loss is not recomputed: `backward` writes each batch's output - target
+    into the epoch's residual rows, and the epoch loss is reduced from them
+    as batch-by-batch losses would be. The gradient uses the same residual,
+    so both come from one subtraction, and the history and `theta` keep
+    their bits.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"inputs ({x.shape[0]} rows) vs targets ({y.shape[0]} rows)")
     n = x.shape[0]
+    size = cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     theta = net.theta
     opt = cfg.optimizer
-    state = (np.zeros_like(theta), np.zeros_like(theta))  # adadelta's eg2 and ed2
+    adadelta = isinstance(opt, Adadelta)
+    mse = net.spec.loss == "mse"
+    grad = np.empty_like(theta)
+    state = np.zeros((2, theta.size))  # adadelta's eg2 and ed2
+    work = np.empty((3, theta.size))
+    spaces = {m: net.workspace(m, dropout=True) for m in {min(size, n), n % size} if m}
+    residuals = np.empty((n, net.spec.output_dim))
 
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        xs = x[order]
+        ys = xs if y is x else y[order]
         batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            cache = net.forward(x[idx], rng=rng)
-            batch_losses.append(net.loss(cache.output, y[idx]))
-            grad = net.backward(cache, y[idx])
-            if isinstance(opt, Adadelta):
-                adadelta_step(theta, grad, state, opt)
+        for start in range(0, n, size):
+            stop = start + size
+            cache = spaces[min(size, n - start)]
+            if mse:
+                cache.residual = residuals[start:stop]
+            net.forward(xs[start:stop], rng=rng, out=cache)
+            if not mse:
+                batch_losses.append(net.loss(cache.output, ys[start:stop]))
+            net.backward(cache, ys[start:stop], out=grad)
+            if adadelta:
+                adadelta_step(theta, grad, state, opt, work)
             else:
                 sgd_step(theta, grad, opt.lr)
-        epoch_loss = float(np.mean(batch_losses))
+        epoch_loss = _epoch_mse(residuals, size) if mse else float(np.mean(batch_losses))
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         if not np.all(np.isfinite(theta)):

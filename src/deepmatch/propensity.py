@@ -156,7 +156,11 @@ def fit_logistic(
     final gradient norm) if cfg.max_iter steps do not get there.
     """
     x = _check_features(x)
-    labels = _check_labels(w, x.shape[0])
+    return _fit_logistic(x, _check_labels(w, x.shape[0]), cfg)
+
+
+def _fit_logistic(x: np.ndarray, labels: np.ndarray, cfg: PropensityFitConfig) -> LogisticModel:
+    # `fit_logistic` on checked features and float labels
     design = np.column_stack([np.ones(x.shape[0]), x])
     beta = np.zeros(design.shape[1])
     nll, grad = _mean_nll_and_grad(design, labels, beta, cfg.l2)
@@ -192,9 +196,13 @@ def _check_labels(w, n) -> np.ndarray:
         raise ValueError(f"labels must have length {n}, got shape {w.shape}")
     if not np.isin(w, (0, 1)).all():
         raise ValueError("treatment labels must be 0 or 1")
-    if len(np.unique(w)) < 2:
-        raise ValueError("both treatment classes must be present to fit")
+    _check_both_classes(w)
     return w.astype(float)
+
+
+def _check_both_classes(labels: np.ndarray) -> None:
+    if len(np.unique(labels)) < 2:
+        raise ValueError("both treatment classes must be present to fit")
 
 
 def fit_propensity_net(
@@ -202,12 +210,20 @@ def fit_propensity_net(
 ) -> PropensityNetModel:
     """Train the dense softmax classifier on one-hot treatment labels."""
     x = _check_features(x)
-    labels = _check_labels(w, x.shape[0])
+    return _fit_propensity_net(x, _check_labels(w, x.shape[0]), cfg)
+
+
+def _fit_propensity_net(x: np.ndarray, labels: np.ndarray,
+                        cfg: PropensityFitConfig) -> PropensityNetModel:
+    # `fit_propensity_net` on checked features and float labels
     targets = np.column_stack([1.0 - labels, labels])
     net = init_network(build_propensity_net(x.shape[1]), seed=cfg.seed)
     train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed)
     train(net, x, targets, train_cfg)
     return PropensityNetModel(network=net)
+
+
+_FITTERS = {"logistic": _fit_logistic, "propensity_net": _fit_propensity_net}
 
 
 def fit(
@@ -220,19 +236,17 @@ def fit(
 
     Returns (model, test_indices): the fitted LogisticModel or
     PropensityNetModel, and the sorted held-out rows, on which accuracy is
-    reported. A training fold left with one treatment class raises
-    ValueError from the fitter.
+    reported. The features and labels are checked once, here; a training
+    fold left with one treatment class raises ValueError.
     """
     x = _check_features(x)
     labels = _check_labels(w, x.shape[0])
-    train_idx, test_idx = train_test_split(x.shape[0], cfg.test_fraction, cfg.seed)
-    if model_kind == "logistic":
-        model = fit_logistic(x[train_idx], labels[train_idx], cfg)
-    elif model_kind == "propensity_net":
-        model = fit_propensity_net(x[train_idx], labels[train_idx], cfg)
-    else:
+    if model_kind not in _FITTERS:
         raise ValueError(f"unknown model kind {model_kind!r}")
-    return model, test_idx
+    train_idx, test_idx = train_test_split(x.shape[0], cfg.test_fraction, cfg.seed)
+    fold = labels[train_idx]
+    _check_both_classes(fold)
+    return _FITTERS[model_kind](x[train_idx], fold, cfg), test_idx
 
 
 @dataclass(frozen=True)

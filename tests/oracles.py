@@ -108,13 +108,83 @@ def silhouette_scan(z, labels):
     return float(np.mean(vals))
 
 
+# Allocating network passes: `@` products, fresh arrays at every step,
+# `np.ones_like` for the identity's derivative and one `np.concatenate` for
+# the gradient. They read `net.spec`, `net.weights` and `net.biases` only, so
+# a change to the library's arithmetic cannot move them.
+def _softmax_alloc(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+_ALLOC_ACTIVATIONS = {
+    "identity": (lambda z: z, np.ones_like),
+    "relu": (lambda z: np.maximum(0.0, z), lambda out: (out > 0.0).astype(float)),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda out: out * (1.0 - out)),
+    "tanh": (np.tanh, lambda out: 1.0 - out**2),
+    "softmax": (_softmax_alloc, None),
+}
+
+
+def forward_alloc(net, x, rng=None):
+    """Returns (inputs, hidden, masks): layer inputs, pre-dropout outputs, masks."""
+    x = np.asarray(x, dtype=float)
+    inputs, hidden, masks = [x], [], []
+    a = x
+    for l, layer in enumerate(net.spec.layers):
+        z = a @ net.weights[l].T + net.biases[l]
+        h = _ALLOC_ACTIVATIONS[layer.activation][0](z)
+        hidden.append(h)
+        if rng is not None and layer.dropout_rate > 0.0:
+            keep = 1.0 - layer.dropout_rate
+            mask = (rng.random(h.shape) < keep).astype(float) / keep
+            a = h * mask
+        else:
+            a, mask = h, None
+        masks.append(mask)
+        inputs.append(a)
+    return inputs, hidden, masks
+
+
+def loss_alloc(net, output, target):
+    if net.spec.loss == "mse":
+        return float(np.mean(np.sum((output - target) ** 2, axis=1)))
+    p = np.clip(output, 1e-12, 1.0)
+    return float(np.mean(-np.sum(target * np.log(p), axis=1)))
+
+
+def backward_alloc(net, passes, target):
+    """The loss gradient in the `theta` layout, from `forward_alloc`'s passes."""
+    inputs, hidden, masks = passes
+    target = np.asarray(target, dtype=float)
+    out = inputs[-1]
+    n_batch = out.shape[0]
+    layers = net.spec.layers
+    if net.spec.loss == "categorical_cross_entropy":
+        delta = (out - target) / n_batch
+    else:
+        d_out = 2.0 * (out - target) / n_batch
+        delta = d_out * _ALLOC_ACTIVATIONS[layers[-1].activation][1](out)
+    parts = []
+    for l in range(len(layers) - 1, -1, -1):
+        parts.append(delta.sum(axis=0))
+        parts.append((delta.T @ inputs[l]).ravel())
+        if l > 0:
+            da = delta @ net.weights[l]
+            if masks[l - 1] is not None:
+                da = da * masks[l - 1]
+            delta = da * _ALLOC_ACTIVATIONS[layers[l - 1].activation][1](hidden[l - 1])
+    return np.concatenate(parts[::-1])
+
+
 def train_per_tensor(net, x, y, cfg):
     """Mini-batch training with one optimiser update per weight matrix and bias.
 
     The same batches, dropout draws and update formulas as `network.train`,
-    but each tensor (a `net.split` view of `theta`) keeps its own adadelta
-    accumulators and gets its own `adadelta_update` call. Returns the
-    per-epoch mean batch loss.
+    but through the allocating passes above, a fresh `x[idx]` gather per
+    batch, and one optimiser call per tensor: each tensor (a `net.split` view
+    of `theta`) keeps its own adadelta accumulators and gets its own
+    `adadelta_update` call. Returns the per-epoch mean batch loss.
     """
     from deepmatch.network import Adadelta, adadelta_update
 
@@ -130,9 +200,9 @@ def train_per_tensor(net, x, y, cfg):
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            cache = net.forward(x[idx], rng=rng)
-            losses.append(net.loss(cache.output, y[idx]))
-            grads = [g for pair in net.split(net.backward(cache, y[idx])) for g in pair]
+            passes = forward_alloc(net, x[idx], rng=rng)
+            losses.append(loss_alloc(net, passes[0][-1], y[idx]))
+            grads = [g for pair in net.split(backward_alloc(net, passes, y[idx])) for g in pair]
             for i, (t, g) in enumerate(zip(tensors, grads)):
                 if isinstance(opt, Adadelta):
                     delta, eg2[i], ed2[i] = adadelta_update(eg2[i], ed2[i], g, opt.rho, opt.eps)

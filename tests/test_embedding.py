@@ -128,6 +128,13 @@ class TestAutoencoder:
         bottleneck = full.hidden[emb.n_encoder_layers - 1]
         assert np.array_equal(emb.transform(x), bottleneck)
 
+    def test_transform_calls_share_no_memory(self):
+        x = plane_data(n=40, seed=15)
+        emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=3, seed=4))
+        a, b = emb.transform(x), emb.transform(x)
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+
     def test_hidden_layers_flag(self):
         x = plane_data(n=60, seed=13)
         emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=5), hidden=(6,))

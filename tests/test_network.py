@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deepmatch.embedding import autoencoder_spec
+from deepmatch.gradcheck import default_grid
 from deepmatch.network import (
     Adadelta,
     LayerSpec,
@@ -19,7 +20,7 @@ from deepmatch.network import (
     train,
 )
 from deepmatch.propensity import build_propensity_net
-from oracles import train_per_tensor
+from oracles import backward_alloc, forward_alloc, train_per_tensor
 
 
 def classifier_spec(input_dim=2):
@@ -175,6 +176,32 @@ class TestForward:
         t1 = net.forward(x, rng=np.random.default_rng(8)).output
         assert not np.array_equal(t1, eval_a)
 
+    def test_predict_calls_share_no_memory(self):
+        net = init_network(classifier_spec(), seed=6)
+        x = np.random.default_rng(2).standard_normal((9, 2))
+        a, b = net.predict(x), net.predict(x)
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+
+    def test_workspace_pass_equals_fresh_pass(self):
+        net = init_network(classifier_spec(), seed=7)
+        x = np.random.default_rng(3).standard_normal((5, 2))
+        ws = net.workspace(5, dropout=True)
+        for seed in (1, 2):  # a reused workspace holds no state from its last pass
+            assert net.forward(x, rng=np.random.default_rng(seed), out=ws) is ws
+            fresh = net.forward(x, rng=np.random.default_rng(seed))
+            for got, want in zip(ws.inputs + ws.hidden, fresh.inputs + fresh.hidden):
+                assert np.array_equal(got, want)
+        assert np.array_equal(net.forward(x, out=net.workspace(5)).output, net.predict(x))
+
+    def test_workspace_dropout_must_match_rng(self):
+        net = init_network(classifier_spec(), seed=7)
+        x = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="needs an rng"):
+            net.forward(x, out=net.workspace(3, dropout=True))
+        with pytest.raises(ValueError, match="needs no rng"):
+            net.forward(x, rng=np.random.default_rng(0), out=net.workspace(3))
+
     def test_input_width_mismatch_rejected(self):
         net = init_network(NetworkSpec((LayerSpec(3, 2),)), seed=0)
         with pytest.raises(ValueError, match="columns"):
@@ -264,6 +291,22 @@ class TestBackward:
             assert dw[0, 0] == pytest.approx(2.0 * w0, rel=1e-15)
             assert db[0] == pytest.approx(2.0 * w0, rel=1e-15)
 
+    def test_without_out_fresh_and_equal_to_allocating_passes(self):
+        # every spec and batch size of the gradcheck grid; the oracle's passes
+        # allocate every array, so no reused buffer can leak into them
+        for case in default_grid(24, seed=0):
+            rng = np.random.default_rng(case.seed)
+            net = init_network(case.spec, seed=case.seed)
+            x = rng.standard_normal((case.batch_size, case.spec.input_dim))
+            y = rng.standard_normal((case.batch_size, case.spec.output_dim))
+            if case.spec.loss == "categorical_cross_entropy":
+                y = np.eye(case.spec.output_dim)[np.argmax(y, axis=1)]
+            cache = net.forward(x)
+            first, second = net.backward(cache, y), net.backward(cache, y)
+            assert not np.shares_memory(first, second), case.name
+            want = backward_alloc(net, forward_alloc(net, x), y)
+            assert np.array_equal(first, want) and np.array_equal(second, want), case.name
+
     def test_gradient_shapes_mirror_parameters(self):
         spec = classifier_spec()
         net = init_network(spec, seed=0)
@@ -305,14 +348,30 @@ class TestAdadelta:
             assert np.allclose(eg2_new, eg2_ref, atol=1e-12, rtol=0)
             assert np.allclose(ed2_new, ed2_ref, atol=1e-12, rtol=0)
 
+    def test_bit_identical_to_textbook_expression(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            shape = (int(rng.integers(1, 40)),)
+            eg2, ed2 = rng.random(shape), rng.random(shape) * 1e-3
+            g = rng.standard_normal(shape) * 10.0 ** float(rng.integers(-6, 3))
+            g[rng.random(shape) < 0.2] = 0.0
+            rho, eps = float(rng.uniform(0.5, 0.99)), 10.0 ** float(rng.integers(-8, -3))
+            eg2_ref = rho * eg2 + (1.0 - rho) * g**2
+            delta_ref = -np.sqrt(ed2 + eps) / np.sqrt(eg2_ref + eps) * g
+            ed2_ref = rho * ed2 + (1.0 - rho) * delta_ref**2
+            delta, eg2_new, ed2_new = adadelta_update(eg2, ed2, g, rho, eps)
+            assert np.array_equal(np.signbit(delta), np.signbit(delta_ref))
+            assert (delta == delta_ref).all()
+            assert (eg2_new == eg2_ref).all() and (ed2_new == ed2_ref).all()
+
     def test_zero_gradient_keeps_params_and_decays_ed2(self):
         net = Network(NetworkSpec((LayerSpec(1, 1),)), np.array([1.0, -2.0]))
-        eg2, ed2 = np.zeros(2), np.array([0.4, 0.8])
-        adadelta_step(net.theta, np.zeros(2), (eg2, ed2), Adadelta())
+        state = np.array([[0.0, 0.0], [0.4, 0.8]])  # eg2, ed2
+        adadelta_step(net.theta, np.zeros(2), state, Adadelta())
         (w, b), = net.split(net.theta)
         assert w[0, 0] == 1.0 and b[0] == -2.0
-        assert np.array_equal(eg2, np.zeros(2))
-        assert np.allclose(ed2, [0.95 * 0.4, 0.95 * 0.8], rtol=1e-15)
+        assert np.array_equal(state[0], np.zeros(2))
+        assert np.allclose(state[1], [0.95 * 0.4, 0.95 * 0.8], rtol=1e-15)
 
     def test_update_opposes_gradient_sign(self):
         rng = np.random.default_rng(4)
@@ -369,8 +428,20 @@ class TestTrain:
             (build_propensity_net(3), TrainConfig(epochs=3, batch_size=16, seed=4)),
             (autoencoder_spec(3, 2), TrainConfig(epochs=6, seed=5)),
             (autoencoder_spec(3, 2, hidden=(4,)), TrainConfig(epochs=6, optimizer=Sgd(0.05))),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=2, batch_size=1, seed=6)),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=8, batch_size=200, seed=7)),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=6, batch_size=50, seed=8)),
+            (NetworkSpec((
+                LayerSpec(3, 6, activation="relu", dropout_rate=0.25),
+                LayerSpec(6, 5, activation="sigmoid", dropout_rate=0.4),
+                LayerSpec(5, 3, activation="sigmoid"),
+            )), TrainConfig(epochs=4, batch_size=16, seed=9)),
+            (NetworkSpec((LayerSpec(3, 2, activation="tanh"), LayerSpec(2, 3, activation="tanh"))),
+             TrainConfig(epochs=6, batch_size=7, seed=10)),
         ],
-        ids=["propensity_net_dropout", "autoencoder_default", "sgd"],
+        ids=["propensity_net_dropout", "autoencoder_default", "sgd", "batch_size_1",
+             "batch_size_above_n", "batch_size_divides_n", "relu_sigmoid_dropout",
+             "tanh_final_mse"],
     )
     def test_flat_training_bit_identical_to_per_tensor_loop(self, spec, cfg):
         rng = np.random.default_rng(12)

@@ -593,8 +593,5 @@ EXPERIMENTS = {
 }
 
 parse_swissroll = EXPERIMENTS["swissroll"].parse
-resolved_swissroll = EXPERIMENTS["swissroll"].resolve
 parse_propensity = EXPERIMENTS["propensity"].parse
-resolved_propensity = EXPERIMENTS["propensity"].resolve
 parse_gradcheck = EXPERIMENTS["gradcheck"].parse
-resolved_gradcheck = EXPERIMENTS["gradcheck"].resolve

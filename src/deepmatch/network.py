@@ -9,15 +9,16 @@ No autodiff framework is involved; the finite-difference harness in
 `gradcheck` exists precisely to keep these gradients honest.
 
 A training step on small layers is numpy call overhead, not arithmetic. So
-`forward` and `backward` write into preallocated arrays with `out=` ufuncs:
-a `ForwardPass` workspace and a gradient vector, which `train` makes once per
-batch length. Called without them, they allocate, so `predict` and
-`gradcheck` run the same code. Products use `np.dot`, which calls the same
-dgemm as `@` for any operand with a unit stride, at less cost per call. None
-of this moves a bit: every array is formed by the same operations, in the
-same order, as when it was freshly allocated, and an output buffer does not
-change how numpy evaluates an operation. Only a multiplication by the
-identity's derivative, 1.0, is skipped, because it is exact.
+every array of a step lives in a `ForwardPass` workspace that
+`Network.workspace` allocates and `train` makes once per batch length:
+`forward` and `backward` write into it with `out=` ufuncs, and the adadelta
+step runs in place. `predict` and `gradcheck` run the same code on a fresh
+workspace. Products use `np.dot`, which calls the same dgemm as `@` for any
+operand with a unit stride, at less cost per call. None of this moves a bit:
+every array is formed by the same operations, in the same order, as when it
+was freshly allocated, and an output buffer does not change how numpy
+evaluates an operation. Only a multiplication by the identity's derivative,
+1.0, is skipped, because it is exact.
 """
 
 from __future__ import annotations
@@ -164,15 +165,15 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator, out=None):
+def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator, out: tuple):
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
-    Returns (dropped activations, mask); the mask already carries the 1/(1-rate)
-    scaling so that applying it is a single multiply in both passes. `out` is
-    an optional (dropped, mask) pair of C-ordered arrays shaped like `h`.
+    Writes into `out`, a (dropped, mask) pair of C-ordered arrays shaped like
+    `h`, and returns it; the mask already carries the 1/(1-rate) scaling so
+    that applying it is a single multiply in both passes.
     """
     keep = 1.0 - rate
-    dropped, mask = (np.empty(h.shape), np.empty(h.shape)) if out is None else out
+    dropped, mask = out
     rng.random(out=mask)
     np.less(mask, keep, out=mask)
     np.divide(mask, keep, out=mask)
@@ -182,19 +183,19 @@ def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator, out=None
 
 @dataclass
 class ForwardPass:
-    """The arrays of one forward pass over a batch, and its backward scratch.
+    """The arrays that `forward` and `backward` write for one batch.
 
-    `Network.workspace` allocates one for a batch length and `forward` fills
-    it; `backward` reads it and adds its scratch on the first call. So a
-    training loop can reuse one per batch length.
+    `Network.workspace` allocates one per batch length, so a training loop
+    can reuse it from step to step.
     """
 
     inputs: list    # layer inputs: inputs[l] feeds layer l; inputs[-1] is the output
     hidden: list    # pre-dropout layer outputs
     masks: list     # dropout mask per layer (None where inactive)
     dropout: bool   # made for passes with dropout, which draw from an rng
-    residual: np.ndarray | None = None  # output - target, written by backward
-    scratch: list | None = None  # backward's two arrays per layer, shaped like its output
+    residual: np.ndarray  # output - target, written by backward
+    scratch: list   # backward's two arrays per layer, shaped like its output
+    grad_views: tuple = (None, None)  # the last gradient vector and its split views
 
     @property
     def output(self) -> np.ndarray:
@@ -221,7 +222,6 @@ class Network:
         views = self.split(theta)
         self.weights = [w for w, _ in views]
         self.biases = [b for _, b in views]
-        self._split_memo = (None, None)  # (the last gradient vector, its split views)
 
     def split(self, flat: np.ndarray) -> list:
         """Per-layer (W, b) views of a vector laid out like `theta`."""
@@ -237,12 +237,13 @@ class Network:
         return views
 
     def workspace(self, batch: int, dropout: bool = False) -> ForwardPass:
-        """Fresh arrays for a forward pass over `batch` rows.
+        """Fresh arrays for a training step over `batch` rows.
 
         With `dropout`, each layer with a dropout rate gets a mask and a
-        separate dropped output; it then needs an rng in `forward`.
+        separate dropped output; it then needs an rng in `forward`. The
+        arrays are left unwritten, so those that a pass never uses cost no memory.
         """
-        inputs, hidden, masks = [None], [], []
+        inputs, hidden, masks, scratch = [None], [], [], []
         for layer in self.spec.layers:
             shape = (batch, layer.fan_out)
             h = np.empty(shape)
@@ -250,7 +251,8 @@ class Network:
             hidden.append(h)
             masks.append(np.empty(shape) if drop else None)
             inputs.append(np.empty(shape) if drop else h)
-        return ForwardPass(inputs, hidden, masks, dropout)
+            scratch.append((np.empty(shape), np.empty(shape)))
+        return ForwardPass(inputs, hidden, masks, dropout, np.empty(shape), scratch)
 
     def forward(self, x: np.ndarray, rng: np.random.Generator | None = None,
                 out: ForwardPass | None = None) -> ForwardPass:
@@ -287,10 +289,10 @@ class Network:
     def loss(self, output: np.ndarray, target: np.ndarray) -> float:
         output = np.asarray(output, dtype=float)
         target = np.asarray(target, dtype=float)
-        if output.shape != target.shape:
-            raise ValueError(f"output {output.shape} vs target {target.shape}")
+        if output.shape != target.shape or not len(output):
+            raise ValueError(f"output {output.shape} vs target {target.shape}: empty or unequal")
         if self.spec.loss == "mse":
-            return float(np.mean(np.sum((output - target) ** 2, axis=1)))
+            return _mse(output - target, output.shape[0])
         p = np.clip(output, CCE_CLAMP, 1.0)
         return float(np.mean(-np.sum(target * np.log(p), axis=1)))
 
@@ -307,16 +309,14 @@ class Network:
         if output.shape != target.shape:
             raise ValueError(f"output {output.shape} vs target {target.shape}")
         grad = np.empty(self.spec.param_count) if out is None else out
-        if grad is not self._split_memo[0]:  # train passes one vector every step
-            self._split_memo = (grad, self.split(grad))
-        views = self._split_memo[1]
+        if grad is not cache.grad_views[0]:  # train passes one vector every step
+            cache.grad_views = (grad, self.split(grad))
+        views = cache.grad_views[1]
         n_batch = np.array(float(output.shape[0]))  # 0-d: a faster operand than an int
         layers = self.spec.layers
         last = len(layers) - 1
 
-        if cache.scratch is None:
-            cache.scratch = [(np.empty(h.shape), np.empty(h.shape)) for h in cache.hidden]
-        r = cache.residual = np.subtract(output, target, out=cache.residual)
+        r = np.subtract(output, target, out=cache.residual)
         d_out, spare = cache.scratch[last]
         if self.spec.loss == "categorical_cross_entropy":
             # Softmax + CCE collapse to (p - t) / B at the logits.
@@ -363,17 +363,19 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
 
 
 def adadelta_step(theta: np.ndarray, grad: np.ndarray, state: np.ndarray, opt: Adadelta,
-                  work: np.ndarray | None = None) -> None:
-    """One adadelta step (Zeiler 2012) on `theta`, in place.
+                  work: np.ndarray) -> None:
+    """One adadelta step (Zeiler 2012) on `theta`, in place:
+
+        eg2'  = rho eg2 + (1 - rho) grad^2
+        delta = -sqrt(ed2 + eps) / sqrt(eg2' + eps) * grad,  theta' = theta + delta
+        ed2'  = rho ed2 + (1 - rho) delta^2
 
     `state` stacks the running averages eg2 and ed2 as one (2, *grad.shape)
-    array and is updated in place; `work` is optional (3, *grad.shape) scratch.
-    The operations are those of the formulas in `adadelta_update`, one by one,
-    so every value keeps their bits; theta - (-delta) is theta + delta exactly.
+    array and is updated in place; `work` is (3, *grad.shape) scratch. The
+    operations are those of the formulas, one by one, so every value keeps
+    their bits; theta - (-delta) is theta + delta exactly.
     """
     rho, eps, decay = opt._operands
-    if work is None:
-        work = np.empty((3,) + grad.shape)
     eg2, ed2 = state[0], state[1]
     roots, root_g, root_d, step = work[:2], work[0], work[1], work[2]
     np.add(ed2, eps, out=root_d)           # ed2 + eps, before ed2 decays
@@ -391,31 +393,16 @@ def adadelta_step(theta: np.ndarray, grad: np.ndarray, state: np.ndarray, opt: A
     np.add(ed2, root_g, out=ed2)           # ed2' = rho ed2 + (1 - rho) delta^2
 
 
-def adadelta_update(eg2: np.ndarray, ed2: np.ndarray, grad: np.ndarray,
-                    rho: float, eps: float):
-    """One adadelta step on a single tensor; returns (delta, eg2', ed2').
-
-    delta = -sqrt(ed2 + eps) / sqrt(eg2' + eps) * grad with
-    eg2' = rho eg2 + (1 - rho) grad^2, and ed2' = rho ed2 + (1 - rho) delta^2.
-    It runs `adadelta_step` on a copy of the state and a parameter of -0.0:
-    -0.0 - s is exactly -s, signed zeros included.
-    """
-    state = np.array([eg2, ed2], dtype=float)
-    delta = np.full(np.shape(grad), -0.0)
-    adadelta_step(delta, np.asarray(grad, dtype=float), state, Adadelta(rho, eps))
-    return delta, state[0], state[1]
-
-
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
     theta -= lr * grad
 
 
-def _epoch_mse(residuals: np.ndarray, batch_size: int) -> float:
-    """The mean over batches of each batch's MSE, from the epoch's residual rows.
+def _mse(residuals: np.ndarray, batch_size: int) -> float:
+    """The mean of each batch's MSE over the batches of `batch_size` residual rows.
 
     Each batch's loss is the mean over its rows of the row's sum of squares,
     reduced as np.mean reduces the batch's own row sums, so it holds the same
-    bits as a loss taken batch by batch.
+    bits as a loss taken batch by batch; one batch of every row is the MSE.
     """
     rows = np.sum(np.square(residuals), axis=1)
     full = rows.shape[0] - rows.shape[0] % batch_size
@@ -430,7 +417,8 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     """Mini-batch training; mutates `net` in place and returns the loss history.
 
     The history holds the mean batch loss of each epoch (length = cfg.epochs).
-    Raises TrainingDiverged as soon as a loss or parameter goes non-finite.
+    Raises ValueError on empty or non-finite data, and TrainingDiverged when
+    an epoch ends with a non-finite loss or parameter.
 
     Each epoch gathers its shuffled rows once and steps through contiguous
     slices of them, reusing one workspace per batch length (the full batch
@@ -445,6 +433,8 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     y = np.asarray(targets, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"inputs ({x.shape[0]} rows) vs targets ({y.shape[0]} rows)")
+    if x.shape[0] == 0 or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("training needs at least one row, and finite inputs and targets")
     n = x.shape[0]
     size = cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
@@ -477,7 +467,7 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
                 adadelta_step(theta, grad, state, opt, work)
             else:
                 sgd_step(theta, grad, opt.lr)
-        epoch_loss = _epoch_mse(residuals, size) if mse else float(np.mean(batch_losses))
+        epoch_loss = _mse(residuals, size) if mse else float(np.mean(batch_losses))
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         if not np.all(np.isfinite(theta)):

@@ -177,6 +177,14 @@ def backward_alloc(net, passes, target):
     return np.concatenate(parts[::-1])
 
 
+def adadelta_textbook(eg2, ed2, grad, rho, eps):
+    """One adadelta step (Zeiler 2012) on one tensor: returns (delta, eg2', ed2')."""
+    eg2 = rho * eg2 + (1.0 - rho) * grad**2
+    delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * grad
+    ed2 = rho * ed2 + (1.0 - rho) * delta**2
+    return delta, eg2, ed2
+
+
 def train_per_tensor(net, x, y, cfg):
     """Mini-batch training with one optimiser update per weight matrix and bias.
 
@@ -184,9 +192,9 @@ def train_per_tensor(net, x, y, cfg):
     but through the allocating passes above, a fresh `x[idx]` gather per
     batch, and one optimiser call per tensor: each tensor (a `net.split` view
     of `theta`) keeps its own adadelta accumulators and gets its own
-    `adadelta_update` call. Returns the per-epoch mean batch loss.
+    `adadelta_textbook` call. Returns the per-epoch mean batch loss.
     """
-    from deepmatch.network import Adadelta, adadelta_update
+    from deepmatch.network import Adadelta
 
     opt = cfg.optimizer
     tensors = [t for pair in net.split(net.theta) for t in pair]
@@ -205,7 +213,7 @@ def train_per_tensor(net, x, y, cfg):
             grads = [g for pair in net.split(backward_alloc(net, passes, y[idx])) for g in pair]
             for i, (t, g) in enumerate(zip(tensors, grads)):
                 if isinstance(opt, Adadelta):
-                    delta, eg2[i], ed2[i] = adadelta_update(eg2[i], ed2[i], g, opt.rho, opt.eps)
+                    delta, eg2[i], ed2[i] = adadelta_textbook(eg2[i], ed2[i], g, opt.rho, opt.eps)
                     t += delta
                 else:
                     t -= opt.lr * g

@@ -14,15 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepmatch.experiments import (
+    EXPERIMENTS,
     PROPENSITY_METHODS,
     SWISSROLL_METHODS,
     ConfigError,
     parse_gradcheck,
     parse_propensity,
     parse_swissroll,
-    resolved_gradcheck,
-    resolved_propensity,
-    resolved_swissroll,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -42,7 +40,7 @@ COEFFS = st.lists(real(-1e3, 1e3), min_size=3, max_size=3)
 VALID = {
     "swissroll": (
         parse_swissroll,
-        resolved_swissroll,
+        EXPERIMENTS["swissroll"].resolve,
         {
             "seed": SEED,
             "dataset.n": st.integers(2, 10**6),
@@ -65,7 +63,7 @@ VALID = {
     ),
     "propensity": (
         parse_propensity,
-        resolved_propensity,
+        EXPERIMENTS["propensity"].resolve,
         {
             "seed": SEED,
             "dataset.n_pairs": st.integers(2, 10**6),
@@ -84,7 +82,7 @@ VALID = {
     ),
     "gradcheck": (
         parse_gradcheck,
-        resolved_gradcheck,
+        EXPERIMENTS["gradcheck"].resolve,
         {
             "seed": SEED,
             "count": st.integers(1, 1000),

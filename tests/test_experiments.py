@@ -10,6 +10,7 @@ import pytest
 from deepmatch import experiments
 from deepmatch.cli import main
 from deepmatch.experiments import (
+    EXPERIMENTS,
     ConfigError,
     GradcheckRun,
     PropensityRun,
@@ -19,9 +20,6 @@ from deepmatch.experiments import (
     parse_propensity,
     parse_swissroll,
     prepare_out_dir,
-    resolved_gradcheck,
-    resolved_propensity,
-    resolved_swissroll,
     run_gradcheck,
     run_propensity,
     run_swissroll,
@@ -111,7 +109,7 @@ class TestParseSwissroll:
                 "lle": {"k_neighbors": 8, "reg": 1e-2},
             }
         )
-        assert parse_swissroll(resolved_swissroll(cfg)) == cfg
+        assert parse_swissroll(EXPERIMENTS["swissroll"].resolve(cfg)) == cfg
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -135,7 +133,7 @@ class TestParsePropensity:
                 "logistic": {"l2": 0.1, "max_iter": 500, "grad_tol": 1e-6},
             }
         )
-        assert parse_propensity(resolved_propensity(cfg)) == cfg
+        assert parse_propensity(EXPERIMENTS["propensity"].resolve(cfg)) == cfg
 
     def test_query_arm_validated(self):
         with pytest.raises(ConfigError, match="query_arm"):
@@ -162,7 +160,7 @@ class TestParseGradcheck:
 
     def test_resolved_config_reparses_identically(self):
         cfg = parse_gradcheck({"seed": 4, "count": 6, "step": 1e-6, "tolerance": 1e-3})
-        assert parse_gradcheck(resolved_gradcheck(cfg)) == cfg
+        assert parse_gradcheck(EXPERIMENTS["gradcheck"].resolve(cfg)) == cfg
 
     def test_positivity_validated(self):
         with pytest.raises(ConfigError, match="step"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from deepmatch.network import (
     TrainConfig,
     TrainingDiverged,
     adadelta_step,
-    adadelta_update,
     apply_dropout,
     init_network,
     train,
@@ -211,7 +211,7 @@ class TestForward:
 class TestDropoutMask:
     def test_mask_values_are_zero_or_scale(self):
         rng = np.random.default_rng(0)
-        _, mask = apply_dropout(np.ones((100, 100)), 0.3, rng)
+        _, mask = apply_dropout(np.ones((100, 100)), 0.3, rng, (np.empty((100, 100)),) * 2)
         assert set(np.unique(mask)) == {0.0, 1.0 / 0.7}
 
     def test_inverted_scaling_preserves_expectation(self):
@@ -219,8 +219,9 @@ class TestDropoutMask:
         h = np.full((1, 1000), 2.0)
         reps = 400
         acc = np.zeros_like(h)
+        out = (np.empty(h.shape), np.empty(h.shape))
         for _ in range(reps):
-            dropped, _ = apply_dropout(h, 0.3, rng)
+            dropped, _ = apply_dropout(h, 0.3, rng, out)
             acc += dropped
         est = acc.mean() / reps
         # Monte-Carlo std of the grand mean
@@ -270,6 +271,12 @@ class TestLoss:
         net = init_network(NetworkSpec((LayerSpec(2, 2),)), seed=0)
         with pytest.raises(ValueError, match="vs target"):
             net.loss(np.zeros((2, 2)), np.zeros((3, 2)))
+        cce = NetworkSpec(
+            (LayerSpec(2, 2, activation="softmax"),), loss="categorical_cross_entropy"
+        )
+        for spec in (net.spec, cce):  # a loss over no rows is undefined
+            with pytest.raises(ValueError, match="vs target"):
+                init_network(spec, seed=0).loss(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestBackward:
@@ -319,10 +326,22 @@ class TestBackward:
             assert dw.shape == w.shape and db.shape == b.shape
 
 
+def adadelta_delta(eg2, ed2, grad, rho, eps):
+    """`adadelta_step` on a copy of the state; returns (delta, eg2', ed2').
+
+    It steps a parameter of -0.0, and -0.0 - s is exactly -s, signed zeros included.
+    """
+    grad = np.asarray(grad, dtype=float)
+    state = np.array([eg2, ed2], dtype=float)
+    delta = np.full(grad.shape, -0.0)
+    adadelta_step(delta, grad, state, Adadelta(rho, eps), np.empty((3,) + grad.shape))
+    return delta, state[0], state[1]
+
+
 class TestAdadelta:
     def test_first_step_closed_form(self):
         g = np.array([1.0])
-        delta, eg2, ed2 = adadelta_update(
+        delta, eg2, ed2 = adadelta_delta(
             np.zeros(1), np.zeros(1), g, rho=0.95, eps=1e-6
         )
         assert eg2[0] == pytest.approx(0.05, rel=1e-15)
@@ -340,7 +359,7 @@ class TestAdadelta:
             g = rng.standard_normal(shape)
             rho = float(rng.uniform(0.5, 0.99))
             eps = 10.0 ** float(rng.integers(-8, -3))
-            delta, eg2_new, ed2_new = adadelta_update(eg2, ed2, g, rho, eps)
+            delta, eg2_new, ed2_new = adadelta_delta(eg2, ed2, g, rho, eps)
             eg2_ref = rho * eg2 + (1 - rho) * g * g
             delta_ref = -np.sqrt(ed2 + eps) / np.sqrt(eg2_ref + eps) * g
             ed2_ref = rho * ed2 + (1 - rho) * delta_ref * delta_ref
@@ -359,7 +378,7 @@ class TestAdadelta:
             eg2_ref = rho * eg2 + (1.0 - rho) * g**2
             delta_ref = -np.sqrt(ed2 + eps) / np.sqrt(eg2_ref + eps) * g
             ed2_ref = rho * ed2 + (1.0 - rho) * delta_ref**2
-            delta, eg2_new, ed2_new = adadelta_update(eg2, ed2, g, rho, eps)
+            delta, eg2_new, ed2_new = adadelta_delta(eg2, ed2, g, rho, eps)
             assert np.array_equal(np.signbit(delta), np.signbit(delta_ref))
             assert (delta == delta_ref).all()
             assert (eg2_new == eg2_ref).all() and (ed2_new == ed2_ref).all()
@@ -367,7 +386,7 @@ class TestAdadelta:
     def test_zero_gradient_keeps_params_and_decays_ed2(self):
         net = Network(NetworkSpec((LayerSpec(1, 1),)), np.array([1.0, -2.0]))
         state = np.array([[0.0, 0.0], [0.4, 0.8]])  # eg2, ed2
-        adadelta_step(net.theta, np.zeros(2), state, Adadelta())
+        adadelta_step(net.theta, np.zeros(2), state, Adadelta(), np.empty((3, 2)))
         (w, b), = net.split(net.theta)
         assert w[0, 0] == 1.0 and b[0] == -2.0
         assert np.array_equal(state[0], np.zeros(2))
@@ -376,7 +395,7 @@ class TestAdadelta:
     def test_update_opposes_gradient_sign(self):
         rng = np.random.default_rng(4)
         g = rng.standard_normal(50)
-        delta, _, _ = adadelta_update(np.zeros(50), np.zeros(50), g, 0.95, 1e-6)
+        delta, _, _ = adadelta_delta(np.zeros(50), np.zeros(50), g, 0.95, 1e-6)
         nonzero = g != 0
         assert np.all(np.sign(delta[nonzero]) == -np.sign(g[nonzero]))
 
@@ -490,3 +509,17 @@ class TestTrain:
         net = init_network(NetworkSpec((LayerSpec(2, 1),)), seed=0)
         with pytest.raises(ValueError, match="rows"):
             train(net, np.zeros((3, 2)), np.zeros((4, 1)), TrainConfig(epochs=1))
+
+    def test_empty_or_non_finite_data_rejected_at_entry(self):
+        # bad data is not divergence: it fails before any step, warning-free
+        net = init_network(NetworkSpec((LayerSpec(2, 1),)), seed=0)
+        theta = net.theta.copy()
+        x, y = np.ones((4, 2)), np.ones((4, 1))
+        nan_x, inf_y = x.copy(), y.copy()
+        nan_x[1, 0], inf_y[2, 0] = np.nan, np.inf
+        for inputs, targets in [(x[:0], y[:0]), (nan_x, y), (x, inf_y)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    train(net, inputs, targets, TrainConfig(epochs=1))
+        assert np.array_equal(net.theta, theta)

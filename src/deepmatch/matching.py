@@ -98,11 +98,11 @@ def _scan(block: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     dist = _distances(block[:, None, :], pool[None, :, :])
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
     near = dist <= kth
-    if np.count_nonzero(near) > dist.size // 8:
-        # heavy ties: a stable row sort, which keeps tied pool rows in index
-        # order, is then cheaper than sorting the candidates
-        idx = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        return idx, np.take_along_axis(dist, idx, axis=1)
+    if np.count_nonzero(near) > 2 * k * dist.shape[0]:
+        # heavy ties: the strictly closer, then the lowest-index tied, k per row
+        closer = dist < kth
+        tied = near & ~closer
+        near = closer | (tied & (np.cumsum(tied, axis=1) <= k - closer.sum(axis=1, keepdims=True)))
     # candidates by (row, distance, index); each row's first k win
     row, col = np.nonzero(near)
     order = np.lexsort((col, dist[row, col], row))

@@ -9,11 +9,11 @@ No autodiff framework is involved; the finite-difference harness in
 `gradcheck` exists precisely to keep these gradients honest.
 
 A training step on small layers is numpy call overhead, not arithmetic. So
-every array of a step lives in a `ForwardPass` workspace that
-`Network.workspace` allocates and `train` makes once per batch length:
-`forward` and `backward` write into it with `out=` ufuncs, and the adadelta
-step runs in place. `predict` and `gradcheck` run the same code on a fresh
-workspace. Products use `np.dot`, which calls the same dgemm as `@` for any
+`forward` and `backward` write with `out=` ufuncs into a `ForwardPass`
+workspace that `Network.workspace` allocates and `train` makes once per
+batch length; for MSE, `train` points its residual at the epoch's rows. The
+adadelta step runs in place. `predict` and `gradcheck` run the same code on
+a fresh workspace. Products use `np.dot`, the same dgemm as `@` for any
 operand with a unit stride, at less cost per call. None of this moves a bit:
 every array is formed by the same operations, in the same order, as when it
 was freshly allocated, and an output buffer does not change how numpy
@@ -186,7 +186,7 @@ class ForwardPass:
     """The arrays that `forward` and `backward` write for one batch.
 
     `Network.workspace` allocates one per batch length, so a training loop
-    can reuse it from step to step.
+    can reuse it; for an MSE net, `train` swaps `residual` for its epoch rows.
     """
 
     inputs: list    # layer inputs: inputs[l] feeds layer l; inputs[-1] is the output
@@ -423,11 +423,11 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     Each epoch gathers its shuffled rows once and steps through contiguous
     slices of them, reusing one workspace per batch length (the full batch
     and the last one), one gradient vector and the adadelta state. An MSE
-    loss is not recomputed: `backward` writes each batch's output - target
-    into the epoch's residual rows, and the epoch loss is reduced from them
-    as batch-by-batch losses would be. The gradient uses the same residual,
-    so both come from one subtraction, and the history and `theta` keep
-    their bits.
+    loss is not recomputed: each step swaps the workspace's `residual` for
+    the batch's rows of the epoch residuals, into which `backward` writes
+    output - target, and the epoch loss is reduced from them as batch-by-batch
+    losses would be. The gradient uses the same residual, so both come from
+    one subtraction, and the history and `theta` keep their bits.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)

@@ -2,7 +2,9 @@
 
 Each function here re-derives a quantity the library computes, by a different
 algorithm (closed forms, exhaustive scans, Newton iterations), so that test
-agreement means two unrelated code paths concur.
+agreement means two unrelated code paths concur. One helper is not an
+oracle: `adadelta_delta` reads the library's in-place adadelta step as a
+function, so that tests can hold it against the formulas.
 """
 
 import math
@@ -183,6 +185,20 @@ def adadelta_textbook(eg2, ed2, grad, rho, eps):
     delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * grad
     ed2 = rho * ed2 + (1.0 - rho) * delta**2
     return delta, eg2, ed2
+
+
+def adadelta_delta(eg2, ed2, grad, rho, eps):
+    """The library's `adadelta_step` on a copy of the state: (delta, eg2', ed2').
+
+    It steps a parameter of -0.0, and -0.0 - s is exactly -s, signed zeros included.
+    """
+    from deepmatch.network import Adadelta, adadelta_step
+
+    grad = np.asarray(grad, dtype=float)
+    state = np.array([eg2, ed2], dtype=float)
+    delta = np.full(grad.shape, -0.0)
+    adadelta_step(delta, grad, state, Adadelta(rho, eps), np.empty((3,) + grad.shape))
+    return delta, state[0], state[1]
 
 
 def train_per_tensor(net, x, y, cfg):

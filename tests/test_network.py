@@ -20,7 +20,7 @@ from deepmatch.network import (
     train,
 )
 from deepmatch.propensity import build_propensity_net
-from oracles import backward_alloc, forward_alloc, train_per_tensor
+from oracles import adadelta_delta, backward_alloc, forward_alloc, train_per_tensor
 
 
 def classifier_spec(input_dim=2):
@@ -324,18 +324,6 @@ class TestBackward:
         assert grad.shape == net.theta.shape == (spec.param_count,)
         for (dw, db), w, b in zip(net.split(grad), net.weights, net.biases):
             assert dw.shape == w.shape and db.shape == b.shape
-
-
-def adadelta_delta(eg2, ed2, grad, rho, eps):
-    """`adadelta_step` on a copy of the state; returns (delta, eg2', ed2').
-
-    It steps a parameter of -0.0, and -0.0 - s is exactly -s, signed zeros included.
-    """
-    grad = np.asarray(grad, dtype=float)
-    state = np.array([eg2, ed2], dtype=float)
-    delta = np.full(grad.shape, -0.0)
-    adadelta_step(delta, grad, state, Adadelta(rho, eps), np.empty((3,) + grad.shape))
-    return delta, state[0], state[1]
 
 
 class TestAdadelta:

@@ -23,7 +23,6 @@ from deepmatch.experiments import (
     run_swissroll,
 )
 from deepmatch.gradcheck import default_grid, run_case
-from deepmatch.linalg import jacobi_eigh
 from deepmatch.matching import estimate_effects, nearest_opposite
 from deepmatch.metrics import silhouette
 from deepmatch.propensity import build_propensity_net
@@ -33,6 +32,7 @@ from oracles import (
     effects_scan,
     eigvals_3x3_closed_form,
     knn_scan,
+    lle_dense_eigh,
     lle_dense_weights,
 )
 
@@ -139,14 +139,14 @@ def test_pca_plane_reconstruction_and_eigenvalue_oracle():
     basis = np.array([[1.0, 0.5, -0.25], [0.0, 1.0, 0.75]])
     x = (rng.normal(size=(200, 2)) * np.array([2.0, 0.7])) @ basis
     emb = fit_pca(x, 2)
-    recon = emb.inverse_transform(emb.transform(x))
+    recon = (emb.transform(x) @ emb.components.T) * emb.scale + emb.mean
     assert np.abs(recon - x).max() < 1e-8
 
     for _ in range(50):
-        g = rng.standard_normal((3, 3))
-        a = (g + g.T) / 2.0
-        vals, _ = jacobi_eigh(a)
-        assert np.abs(np.asarray(vals) - eigvals_3x3_closed_form(a)).max() <= 1e-8
+        x3 = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 3))
+        z = (x3 - x3.mean(axis=0)) / x3.std(axis=0)
+        expect = eigvals_3x3_closed_form((z.T @ z) / (z.shape[0] - 1))[::-1]
+        assert np.abs(fit_pca(x3, 3).eigenvalues - expect).max() <= 1e-8
 
 
 def test_lle_weight_rows_and_dense_eigen_oracle():
@@ -157,8 +157,7 @@ def test_lle_weight_rows_and_dense_eigen_oracle():
 
     x20 = np.random.default_rng(22).normal(size=(20, 3))
     emb = fit_lle(x20, 2, k_neighbors=5, reg=1e-3)
-    iw = np.eye(20) - lle_dense_weights(*lle_weight_matrix(x20, 5, 1e-3))
-    vals, vecs = jacobi_eigh(iw.T @ iw)
+    vals, vecs = lle_dense_eigh(*lle_weight_matrix(x20, 5, 1e-3))
     assert vals[3] - vals[2] > 1e-3, "degenerate spectrum would make the check ill-posed"
     oracle = vecs[:, 1:3]
     # orthogonal transforms of the embedding are equivalent, so compare Grams

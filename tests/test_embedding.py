@@ -16,10 +16,14 @@ from deepmatch.embedding import (
     fit_pca,
     lle_weight_matrix,
 )
-from deepmatch.linalg import jacobi_eigh
 from deepmatch.matching import knn
 from deepmatch.network import TrainConfig
-from oracles import barycentric_weights_loop, lle_dense_eigh, lle_dense_weights
+from oracles import (
+    barycentric_weights_loop,
+    eigvals_3x3_closed_form,
+    lle_dense_eigh,
+    lle_dense_weights,
+)
 
 
 def plane_data(n=200, seed=0, noise=0.0):
@@ -33,11 +37,16 @@ def plane_data(n=200, seed=0, noise=0.0):
     return x
 
 
+def pca_reconstruct(emb, x):
+    """x projected onto emb's components, mapped back to its own coordinates."""
+    return (emb.transform(x) @ emb.components.T) * emb.scale + emb.mean
+
+
 class TestPca:
     def test_plane_reconstruction_error(self):
         x = plane_data()
         emb = fit_pca(x, 2)
-        recon = emb.inverse_transform(emb.transform(x))
+        recon = pca_reconstruct(emb, x)
         assert np.abs(recon - x).max() < 1e-8
 
     def test_components_orthonormal(self):
@@ -51,7 +60,7 @@ class TestPca:
         errors = []
         for m in range(1, 6):
             emb = fit_pca(x, m)
-            recon = emb.inverse_transform(emb.transform(x))
+            recon = pca_reconstruct(emb, x)
             errors.append(float(np.mean((recon - x) ** 2)))
         assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1e-16
@@ -72,17 +81,16 @@ class TestPca:
         x = q[:, :3]
         emb = fit_pca(x, 3)
         assert np.allclose(emb.eigenvalues, emb.eigenvalues[0], rtol=1e-10)
-        recon = emb.inverse_transform(emb.transform(x))
+        recon = pca_reconstruct(emb, x)
         assert np.abs(recon - x).max() < 1e-8
 
-    def test_eigenvalues_match_lapack_route(self):
-        x = np.random.default_rng(5).normal(size=(60, 4))
-        emb = fit_pca(x, 4)
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        z = (x - mean) / std
-        lapack = np.linalg.eigvalsh((z.T @ z) / (z.shape[0] - 1))
-        assert np.abs(emb.eigenvalues - lapack[::-1]).max() < 1e-10
+    def test_eigenvalues_match_characteristic_cubic_roots(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = rng.normal(size=(60, 3)) @ rng.normal(size=(3, 3))
+            z = (x - x.mean(axis=0)) / x.std(axis=0)
+            expect = eigvals_3x3_closed_form((z.T @ z) / (z.shape[0] - 1))[::-1]
+            assert np.abs(fit_pca(x, 3).eigenvalues - expect).max() < 1e-10
 
     def test_sign_convention_largest_entry_positive(self):
         x = np.random.default_rng(6).normal(size=(70, 4))
@@ -173,14 +181,12 @@ class TestLle:
 
     def test_small_instance_matches_independent_eigensolver(self):
         # same cost matrix, two independent eigensolver routes (sparse inverse
-        # iteration in production, dense cyclic Jacobi here); embeddings must
-        # agree up to an orthogonal transform, so compare their Gram matrices
+        # iteration in production, dense eigh of the full matrix here);
+        # embeddings must agree up to an orthogonal transform, so compare
+        # their Gram matrices
         x = np.random.default_rng(22).normal(size=(20, 3))
         emb = fit_lle(x, 2, k_neighbors=5, reg=1e-3)
-        w = lle_dense_weights(*lle_weight_matrix(x, 5, 1e-3))
-        iw = np.eye(20) - w
-        cost = iw.T @ iw
-        vals, vecs = jacobi_eigh(cost)
+        vals, vecs = lle_dense_eigh(*lle_weight_matrix(x, 5, 1e-3))
         assert vals[3] - vals[2] > 1e-3, "degenerate spectrum would make the check ill-posed"
         oracle = vecs[:, 1:3]
         gram_prod = emb.embedding @ emb.embedding.T
@@ -282,6 +288,21 @@ class TestTransformValidation:
         emb = fit_pca(x, 2)
         with pytest.raises(ValueError):
             emb.transform(x[:, :2])
+
+    @pytest.mark.parametrize("kind", ["identity", "pca", "lle", "autoencoder"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, kind, bad):
+        x = plane_data(n=30)
+        fit = {
+            "identity": fit_identity,
+            "pca": lambda x: fit_pca(x, 2),
+            "lle": lambda x: fit_lle(x, 2, k_neighbors=5),
+            "autoencoder": lambda x: fit_autoencoder(x, 2, TrainConfig(epochs=1)),
+        }[kind]
+        emb = fit(x)
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            emb.transform(x)
 
     def test_identity_embedder_copies(self):
         x = plane_data(n=10)

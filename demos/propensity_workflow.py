@@ -58,6 +58,7 @@ def main(seed=0):
         if kind == "logistic":
             coef = ", ".join(f"{c:+.3f}" for c in model.coef)
             print(f"  intercept {model.intercept:+.3f}, coefficients ({coef})")
+            print(f"  {model.iterations} Newton iterations, gradient norm {model.grad_norm:.1e}")
         print(
             f"  scores span [{scores.min():.4f}, {scores.max():.4f}], "
             f"log odds span [{log_odds(scores).min():+.4f}, {log_odds(scores).max():+.4f}]"

@@ -1,7 +1,7 @@
 """Propensity-score models and covariate-balance diagnostics.
 
 Two interchangeable scorers for P(w=1 | features): a logistic regression fit
-by full-batch gradient descent with backtracking line search, and a
+by damped Newton steps (iteratively reweighted least squares), and a
 five-layer dense softmax classifier trained with adadelta. Both expose
 predict() returning probabilities in [0,1]. balance_report() computes
 standardized mean differences overall and within score strata, the usual
@@ -36,7 +36,11 @@ def log_odds(scores: np.ndarray) -> np.ndarray:
 
 
 class LogisticDidNotConverge(RuntimeError):
-    """Gradient descent hit the iteration cap before the gradient tolerance."""
+    """Newton's method stopped short of the gradient tolerance.
+
+    Either it used up its iteration cap, or its step no longer moves the
+    coefficients, as on separated classes, whose MLE lies at infinity.
+    """
 
 
 def build_propensity_net(input_dim: int) -> NetworkSpec:
@@ -57,12 +61,24 @@ def build_propensity_net(input_dim: int) -> NetworkSpec:
     return NetworkSpec(tuple(layers), loss="categorical_cross_entropy")
 
 
+def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    # exp(-eta) overflows to inf below eta = -709; 1 / (1 + inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-eta))
+
+
 @dataclass(frozen=True)
 class LogisticModel:
-    """p = sigmoid(intercept + x @ coef)."""
+    """p = sigmoid(intercept + x @ coef).
+
+    A fitted model also records its fit: the number of Newton iterations and
+    the final gradient infinity-norm of the mean negative log-likelihood.
+    """
 
     intercept: float
     coef: np.ndarray
+    iterations: int
+    grad_norm: float
 
     @property
     def input_dim(self) -> int:
@@ -70,8 +86,7 @@ class LogisticModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = _check_features(x, self.input_dim)
-        eta = self.intercept + x @ self.coef
-        return 1.0 / (1.0 + np.exp(-eta))
+        return _sigmoid(self.intercept + x @ self.coef)
 
 
 @dataclass(frozen=True)
@@ -132,28 +147,30 @@ def _check_features(x, input_dim=None) -> np.ndarray:
     return x
 
 
-def _mean_nll_and_grad(design, labels, beta, l2):
-    """Mean negative log-likelihood and its gradient; l2 skips the intercept."""
+def _mean_nll_and_grad(design, labels, beta, ridge):
+    """Mean negative log-likelihood, its gradient, and the fitted probabilities.
+
+    `ridge` holds the l2 weight of each coefficient; the intercept's is 0.
+    """
     eta = design @ beta
-    n = design.shape[0]
-    nll = float(np.mean(np.logaddexp(0.0, eta) - labels * eta))
-    p = 1.0 / (1.0 + np.exp(-eta))
-    grad = design.T @ (p - labels) / n
-    if l2 > 0:
-        penalty = np.concatenate([[0.0], beta[1:]])
-        nll += 0.5 * l2 * float(penalty @ penalty)
-        grad = grad + l2 * penalty
-    return nll, grad
+    p = _sigmoid(eta)
+    nll = float(np.mean(np.logaddexp(0.0, eta) - labels * eta)) + 0.5 * float(ridge @ beta**2)
+    grad = design.T @ (p - labels) / design.shape[0] + ridge * beta
+    return nll, grad, p
 
 
 def fit_logistic(
     x: np.ndarray, w: np.ndarray, cfg: PropensityFitConfig = PropensityFitConfig()
 ) -> LogisticModel:
-    """Maximum likelihood by full-batch gradient descent with backtracking.
+    """Maximum likelihood by damped Newton steps (IRLS).
 
-    Converged when the gradient infinity-norm of the mean log-likelihood
-    drops below cfg.grad_tol; raises LogisticDidNotConverge (naming the
-    final gradient norm) if cfg.max_iter steps do not get there.
+    Each step solves with the Hessian X'diag(p(1-p))X / n, plus cfg.l2 on
+    every coefficient but the intercept, and is halved until the mean
+    negative log-likelihood does not rise. The step is the minimum-norm
+    solution, so collinear columns give the minimum-norm MLE. Converged
+    when the gradient infinity-norm drops below cfg.grad_tol; raises
+    LogisticDidNotConverge, naming the final gradient norm, if cfg.max_iter
+    iterations do not get there or the step stops moving the coefficients.
     """
     x = _check_features(x)
     return _fit_logistic(x, _check_labels(w, x.shape[0]), cfg)
@@ -162,32 +179,45 @@ def fit_logistic(
 def _fit_logistic(x: np.ndarray, labels: np.ndarray, cfg: PropensityFitConfig) -> LogisticModel:
     # `fit_logistic` on checked features and float labels
     design = np.column_stack([np.ones(x.shape[0]), x])
+    ridge = np.full(design.shape[1], cfg.l2)
+    ridge[0] = 0.0
     beta = np.zeros(design.shape[1])
-    nll, grad = _mean_nll_and_grad(design, labels, beta, cfg.l2)
-    step = 1.0
-    for _ in range(cfg.max_iter):
-        if np.abs(grad).max() < cfg.grad_tol:
+    nll, grad, p = _mean_nll_and_grad(design, labels, beta, ridge)
+    iterations = 0
+    # `not <` also continues on a NaN gradient norm
+    while not np.abs(grad).max() < cfg.grad_tol:
+        if iterations == cfg.max_iter:
             break
-        step = min(step * 2.0, 1e6)
-        g2 = float(grad @ grad)
-        # Armijo backtracking on the mean NLL
+        hess = (design.T * (p * (1.0 - p))) @ design / design.shape[0] + np.diag(ridge)
+        if not np.isfinite(hess).all():  # features so large that x'x overflows
+            break
+        delta = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        step = 1.0
         while True:
-            trial = beta - step * grad
-            trial_nll, trial_grad = _mean_nll_and_grad(design, labels, trial, cfg.l2)
-            if trial_nll <= nll - 1e-4 * step * g2:
+            trial = beta - step * delta
+            trial_nll, trial_grad, trial_p = _mean_nll_and_grad(design, labels, trial, ridge)
+            # The NLL has not risen if its value has not, or if it still falls
+            # along the step at the trial point: where rounding swamps the
+            # change in value, the slope still shows it. Ends at the latest
+            # once the halved step rounds away and trial == beta.
+            if trial_nll <= nll or trial_grad @ delta >= 0:
                 break
             step *= 0.5
-            if step < 1e-18:
-                raise LogisticDidNotConverge(
-                    f"line search stalled at gradient norm {np.abs(grad).max():.3e}"
-                )
-        beta, nll, grad = trial, trial_nll, trial_grad
+        if np.array_equal(trial, beta):
+            break
+        beta, nll, grad, p = trial, trial_nll, trial_grad, trial_p
+        iterations += 1
     else:
-        raise LogisticDidNotConverge(
-            f"gradient norm {np.abs(grad).max():.3e} after {cfg.max_iter} iterations "
-            f"(tolerance {cfg.grad_tol:g})"
+        return LogisticModel(
+            intercept=float(beta[0]),
+            coef=beta[1:],
+            iterations=iterations,
+            grad_norm=float(np.abs(grad).max()),
         )
-    return LogisticModel(intercept=float(beta[0]), coef=beta[1:])
+    raise LogisticDidNotConverge(
+        f"gradient norm {np.abs(grad).max():.3e} after {iterations} of at most "
+        f"{cfg.max_iter} Newton iterations (tolerance {cfg.grad_tol:g})"
+    )
 
 
 def _check_labels(w, n) -> np.ndarray:
@@ -202,7 +232,7 @@ def _check_labels(w, n) -> np.ndarray:
 
 def _check_both_classes(labels: np.ndarray) -> None:
     if len(np.unique(labels)) < 2:
-        raise ValueError("both treatment classes must be present to fit")
+        raise ValueError("both treatment classes must be present")
 
 
 def fit_propensity_net(
@@ -281,13 +311,16 @@ def _smd_one(values: np.ndarray, w: np.ndarray):
 
 
 def balance_report(x, w, scores, n_strata: int = 5) -> BalanceReport:
-    """Standardized mean differences overall and within score quantile bins."""
-    x = _check_features(x)
-    w = np.asarray(w)
-    scores = np.asarray(scores, dtype=float)
+    """Standardized mean differences overall and within score quantile bins.
+
+    w must hold 0/1 labels with both arms present.
+    """
     if n_strata < 1:
         raise ValueError(f"n_strata must be >= 1, got {n_strata}")
-    if scores.shape != w.shape or scores.shape[0] != x.shape[0]:
+    x = _check_features(x)
+    w = _check_labels(w, x.shape[0])
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != w.shape:
         raise ValueError("x, w and scores must be row-aligned")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")

@@ -1,8 +1,11 @@
 """Propensity models: the dense classifier, logistic MLE, and balance checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from deepmatch import propensity
 from deepmatch.propensity import (
     LogisticDidNotConverge,
     LogisticModel,
@@ -15,7 +18,7 @@ from deepmatch.propensity import (
     fit_propensity_net,
     log_odds,
 )
-from deepmatch.data import train_test_split
+from deepmatch.data import gen_propensity_pairs, train_test_split
 from deepmatch.metrics import threshold_labels
 from deepmatch.network import init_network
 
@@ -30,6 +33,22 @@ def logistic_sample(n, beta, seed):
     eta = beta[0] + x @ np.asarray(beta[1:])
     w = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
     return x, w
+
+
+def mean_nll_gradient(x, w, model, l2):
+    """Gradient of the mean NLL plus (l2/2)|coef|^2, by the textbook formula."""
+    p = 1.0 / (1.0 + np.exp(-(model.intercept + x @ model.coef)))
+    resid = p - w
+    return np.concatenate([[resid.mean()], x.T @ resid / len(w) + l2 * model.coef])
+
+
+def separated_designs():
+    """Perfectly separated classes, for which no finite MLE exists."""
+    line = np.linspace(-2, 2, 40).reshape(-1, 1)
+    yield line, (line[:, 0] > 0).astype(int)
+    plane = np.random.default_rng(22).normal(size=(60, 2))
+    yield plane, (plane @ (1.0, -2.0) > 0.3).astype(int)
+    yield np.array([[-3.0], [-1.0], [1.0], [3.0]]), np.array([0, 0, 1, 1])
 
 
 class TestBuildPropensityNet:
@@ -93,6 +112,119 @@ class TestFitLogistic:
         with pytest.raises(LogisticDidNotConverge, match="gradient norm"):
             fit_logistic(x, w, PropensityFitConfig(max_iter=2))
 
+    @pytest.mark.parametrize("l2", [0.0, 0.5])
+    def test_gradient_below_tolerance_at_returned_coefficients(self, l2):
+        cfg = PropensityFitConfig(l2=l2)
+        for seed, beta in ((23, (0.4, 1.3, -0.7)), (24, (-1.0, 0.3)), (25, (0.2, 2.0, 0.0, -1.5))):
+            x, w = logistic_sample(400, beta, seed)
+            model = fit_logistic(x, w, cfg)
+            grad = mean_nll_gradient(x, w, model, l2)
+            assert np.abs(grad).max() < cfg.grad_tol
+            assert model.grad_norm < cfg.grad_tol
+
+    def test_binary_covariate_matches_closed_form(self):
+        # with one 0/1 covariate the MLE fits each group's rate exactly: the
+        # intercept is the log-odds at x=0, the coefficient the difference
+        rng = np.random.default_rng(26)
+        x = (rng.random(500) < 0.4).astype(float).reshape(-1, 1)
+        w = (rng.random(500) < np.where(x[:, 0] == 1, 0.7, 0.35)).astype(int)
+        logit = [np.log(w[x[:, 0] == g].mean() / (1 - w[x[:, 0] == g].mean())) for g in (0, 1)]
+        model = fit_logistic(x, w)
+        assert model.intercept == pytest.approx(logit[0], abs=1e-6)
+        assert model.coef[0] == pytest.approx(logit[1] - logit[0], abs=1e-6)
+
+    def test_collinear_columns_give_minimum_norm_mle(self):
+        # A singular Hessian has a family of MLEs; the fit returns the one of
+        # least norm, which splits the shared coefficient evenly.
+        x, w = logistic_sample(300, (0.2, 1.2), 31)
+        single = fit_logistic(x, w)
+        duplicated = fit_logistic(np.hstack([x, x]), w)
+        assert duplicated.intercept == pytest.approx(single.intercept, abs=1e-7)
+        assert np.abs(duplicated.coef - single.coef[0] / 2).max() < 1e-7
+        beside_intercept = fit_logistic(np.hstack([x, np.ones_like(x)]), w)
+        assert beside_intercept.coef[0] == pytest.approx(single.coef[0], abs=1e-7)
+        assert beside_intercept.intercept == pytest.approx(single.intercept / 2, abs=1e-7)
+        assert beside_intercept.coef[1] == pytest.approx(single.intercept / 2, abs=1e-7)
+        # within 1e-7 of what the earlier gradient-descent fit returned
+        assert single.intercept == pytest.approx(0.373614545, abs=1e-7)
+        assert single.coef[0] == pytest.approx(1.242545183, abs=1e-7)
+
+    def test_separated_classes_converge_or_name_the_gradient(self):
+        for x, w in separated_designs():
+            for cfg in (PropensityFitConfig(), PropensityFitConfig(max_iter=3)):
+                try:
+                    model = fit_logistic(x, w, cfg)
+                except LogisticDidNotConverge as exc:
+                    assert "gradient norm" in str(exc)
+                else:
+                    assert model.grad_norm < cfg.grad_tol
+                    assert np.array_equal(model.predict(x) > 0.5, w == 1)
+
+    def test_step_halved_when_the_nll_rises(self, monkeypatch):
+        # Fake an overshoot: the first Newton step reports an infinite NLL
+        # and no slope, so the fit must try half of it and still converge.
+        real = propensity._mean_nll_and_grad
+        betas = []
+
+        def objective(design, labels, beta, ridge):
+            betas.append(beta.copy())
+            nll, grad, p = real(design, labels, beta, ridge)
+            if len(betas) == 2:
+                return np.inf, np.full_like(grad, np.nan), p
+            return nll, grad, p
+
+        monkeypatch.setattr(propensity, "_mean_nll_and_grad", objective)
+        x, w = logistic_sample(250, (0.4, 1.3, -0.7), 0)
+        model = fit_logistic(x, w)
+        assert np.array_equal(betas[2], betas[0] - 0.5 * (betas[0] - betas[1]))
+        fitted = np.concatenate([[model.intercept], model.coef])
+        assert np.abs(fitted - irls_logistic(x, w)).max() < 1e-6
+
+    def test_converges_on_covariates_far_from_the_origin(self):
+        # An offset of 200 makes the Hessian ill-conditioned, and near the
+        # optimum the last steps change the mean NLL by less than its
+        # rounding; a test on the NLL value alone then stalls short of
+        # grad_tol.
+        cfg = PropensityFitConfig()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(200, 1)) + 200.0
+            w = (rng.random(200) < 1.0 / (1.0 + np.exp(-2.0 * (x[:, 0] - 200.0)))).astype(int)
+            model = fit_logistic(x, w, cfg)
+            assert np.abs(mean_nll_gradient(x, w, model, 0.0)).max() < cfg.grad_tol
+
+    def test_overflowing_features_raise_named_error(self):
+        x = np.random.default_rng(29).normal(size=(50, 2)) * 1e200
+        w = np.array([0, 1] * 25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LogisticDidNotConverge, match="gradient norm"):
+                fit_logistic(x, w)
+
+    def test_fit_record_on_propensity_benchmark_data(self):
+        # A guard against a slide back to a first-order method, which took
+        # 219-265 likelihood evaluations on these folds.
+        for seed in (1001, 1002, 1003):
+            ds = gen_propensity_pairs(5000, 0.02, seed=seed)
+            model, _ = fit("logistic", ds.x, ds.w, PropensityFitConfig(seed=seed))
+            assert 1 <= model.iterations <= 10
+            assert model.grad_norm < PropensityFitConfig().grad_tol
+
+    def test_predict_on_saturated_model_emits_no_warning(self):
+        x, w = next(separated_designs())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_logistic(x, w)
+            scores = model.predict(x * 10)
+        assert model.coef[0] > 100
+        assert scores[0] == 0.0 and scores[-1] == 1.0
+
+    def test_predict_bit_identical_to_textbook_sigmoid(self):
+        rng = np.random.default_rng(27)
+        model = LogisticModel(intercept=0.3, coef=np.array([40.0, -25.0]), iterations=0, grad_norm=0.0)
+        x = rng.uniform(-8.0, 8.0, size=(2000, 2))
+        eta = model.intercept + x @ model.coef  # |eta| <= 520.3: exp(-eta) is finite
+        assert np.array_equal(model.predict(x), 1.0 / (1.0 + np.exp(-eta)))
+
     def test_single_class_rejected(self):
         x = np.random.default_rng(5).normal(size=(20, 2))
         with pytest.raises(ValueError, match="both treatment classes"):
@@ -134,7 +266,7 @@ class TestFitLogistic:
 
 class TestPredict:
     def test_zero_weight_logistic_scores_half(self):
-        model = LogisticModel(intercept=0.0, coef=np.zeros(2))
+        model = LogisticModel(intercept=0.0, coef=np.zeros(2), iterations=0, grad_norm=0.0)
         x = np.random.default_rng(8).normal(size=(15, 2))
         assert np.all(model.predict(x) == 0.5)
 
@@ -154,7 +286,7 @@ class TestPredict:
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
     def test_dimension_mismatch_rejected(self):
-        model = LogisticModel(intercept=0.0, coef=np.zeros(2))
+        model = LogisticModel(intercept=0.0, coef=np.zeros(2), iterations=0, grad_norm=0.0)
         with pytest.raises(ValueError):
             model.predict(np.zeros((4, 3)))
 
@@ -309,3 +441,15 @@ class TestBalanceReport:
             scores[3] = bad
             with pytest.raises(ValueError, match="scores must be finite"):
                 balance_report(x, np.arange(10) % 2, scores)
+
+    def test_labels_validated(self):
+        # labels outside {0, 1} used to return a plausible SMD, and a single
+        # arm a NaN with a "Degrees of freedom <= 0" warning
+        x = np.random.default_rng(28).normal(size=(20, 2))
+        scores = np.linspace(0.1, 0.9, 20)
+        with pytest.raises(ValueError, match="0 or 1"):
+            balance_report(x, np.array([0, 1, 2, 3] * 5), scores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="both treatment classes"):
+                balance_report(x, np.ones(20, dtype=int), scores)

@@ -145,7 +145,7 @@ class TestFitLogistic:
         assert beside_intercept.coef[0] == pytest.approx(single.coef[0], abs=1e-7)
         assert beside_intercept.intercept == pytest.approx(single.intercept / 2, abs=1e-7)
         assert beside_intercept.coef[1] == pytest.approx(single.intercept / 2, abs=1e-7)
-        # within 1e-7 of what the earlier gradient-descent fit returned
+        # an independent gradient-descent fit of this data agrees to within 1e-7
         assert single.intercept == pytest.approx(0.373614545, abs=1e-7)
         assert single.coef[0] == pytest.approx(1.242545183, abs=1e-7)
 

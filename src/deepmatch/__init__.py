@@ -28,7 +28,6 @@ from .experiments import (
     PropensityRun,
     StageError,
     SwissRollRun,
-    parse_gradcheck,
     parse_propensity,
     parse_swissroll,
     run_gradcheck,
@@ -52,11 +51,9 @@ from .metrics import (
     threshold_labels,
 )
 from .network import (
-    Adadelta,
     LayerSpec,
     Network,
     NetworkSpec,
-    Sgd,
     TrainConfig,
     init_network,
     train,
@@ -72,7 +69,6 @@ from .propensity import fit as fit_propensity
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adadelta",
     "ConfigError",
     "EffectEstimate",
     "EffectReport",
@@ -85,7 +81,6 @@ __all__ = [
     "PropensityFitConfig",
     "PropensityReport",
     "PropensityRun",
-    "Sgd",
     "StageError",
     "SwissRollConfig",
     "SwissRollRun",
@@ -110,7 +105,6 @@ __all__ = [
     "log_odds",
     "misassignment_report",
     "nearest_opposite",
-    "parse_gradcheck",
     "parse_propensity",
     "parse_swissroll",
     "propensity_match",

@@ -210,8 +210,8 @@ def fit_autoencoder(
     """Train a reconstruction network on standardized x; embed at the bottleneck.
 
     `hidden` inserts extra symmetric tanh layers around the bottleneck
-    (empty tuple = plain d -> m -> d). `train_cfg` sets the epochs, batch
-    size, optimizer and the seed of both the initial weights and training.
+    (empty tuple = plain d -> m -> d). `train_cfg` sets the epochs, the batch
+    size and the seed of both the initial weights and training, by adadelta.
     """
     x = _check_fit_input(x, m)
     mean, scale = _column_stats(x)

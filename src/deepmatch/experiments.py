@@ -594,4 +594,3 @@ EXPERIMENTS = {
 
 parse_swissroll = EXPERIMENTS["swissroll"].parse
 parse_propensity = EXPERIMENTS["propensity"].parse
-parse_gradcheck = EXPERIMENTS["gradcheck"].parse

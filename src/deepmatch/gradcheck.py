@@ -94,6 +94,11 @@ def run_case(case: GradCheckCase, step: float = 1e-5, corrupt: bool = False) -> 
         y[np.arange(case.batch_size), hot] = 1.0
     else:
         y = rng.standard_normal((case.batch_size, case.spec.output_dim))
+    # Random biases, drawn after x and y: behind a dead width-1 relu layer a
+    # zero bias is the next layer's pre-activation, and at relu's kink a
+    # central difference reads half a slope.
+    for b in net.biases:
+        b[...] = rng.uniform(-0.5, 0.5, size=b.shape)
     analytic = net.backward(net.forward(x), y)
     if corrupt:
         analytic[0] += 1.0  # deliberate fault in the first weight

@@ -173,11 +173,7 @@ def fit_logistic(
     iterations do not get there or the step stops moving the coefficients.
     """
     x = _check_features(x)
-    return _fit_logistic(x, _check_labels(w, x.shape[0]), cfg)
-
-
-def _fit_logistic(x: np.ndarray, labels: np.ndarray, cfg: PropensityFitConfig) -> LogisticModel:
-    # `fit_logistic` on checked features and float labels
+    labels = _check_labels(w, x.shape[0])
     design = np.column_stack([np.ones(x.shape[0]), x])
     ridge = np.full(design.shape[1], cfg.l2)
     ridge[0] = 0.0
@@ -226,13 +222,9 @@ def _check_labels(w, n) -> np.ndarray:
         raise ValueError(f"labels must have length {n}, got shape {w.shape}")
     if not np.isin(w, (0, 1)).all():
         raise ValueError("treatment labels must be 0 or 1")
-    _check_both_classes(w)
-    return w.astype(float)
-
-
-def _check_both_classes(labels: np.ndarray) -> None:
-    if len(np.unique(labels)) < 2:
+    if len(np.unique(w)) < 2:
         raise ValueError("both treatment classes must be present")
+    return w.astype(float)
 
 
 def fit_propensity_net(
@@ -240,20 +232,12 @@ def fit_propensity_net(
 ) -> PropensityNetModel:
     """Train the dense softmax classifier on one-hot treatment labels."""
     x = _check_features(x)
-    return _fit_propensity_net(x, _check_labels(w, x.shape[0]), cfg)
-
-
-def _fit_propensity_net(x: np.ndarray, labels: np.ndarray,
-                        cfg: PropensityFitConfig) -> PropensityNetModel:
-    # `fit_propensity_net` on checked features and float labels
+    labels = _check_labels(w, x.shape[0])
     targets = np.column_stack([1.0 - labels, labels])
     net = init_network(build_propensity_net(x.shape[1]), seed=cfg.seed)
     train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed)
     train(net, x, targets, train_cfg)
     return PropensityNetModel(network=net)
-
-
-_FITTERS = {"logistic": _fit_logistic, "propensity_net": _fit_propensity_net}
 
 
 def fit(
@@ -266,17 +250,18 @@ def fit(
 
     Returns (model, test_indices): the fitted LogisticModel or
     PropensityNetModel, and the sorted held-out rows, on which accuracy is
-    reported. The features and labels are checked once, here; a training
-    fold left with one treatment class raises ValueError.
+    reported. All the features and labels are checked before the split, and
+    the fitter checks the training fold again; a fold left with one
+    treatment class raises ValueError.
     """
+    # looked up at each call, so that a wrapper set on the module's fitters is called
+    fitters = {"logistic": fit_logistic, "propensity_net": fit_propensity_net}
     x = _check_features(x)
     labels = _check_labels(w, x.shape[0])
-    if model_kind not in _FITTERS:
+    if model_kind not in fitters:
         raise ValueError(f"unknown model kind {model_kind!r}")
     train_idx, test_idx = train_test_split(x.shape[0], cfg.test_fraction, cfg.seed)
-    fold = labels[train_idx]
-    _check_both_classes(fold)
-    return _FITTERS[model_kind](x[train_idx], fold, cfg), test_idx
+    return fitters[model_kind](x[train_idx], labels[train_idx], cfg), test_idx
 
 
 @dataclass(frozen=True)

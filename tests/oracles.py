@@ -179,40 +179,42 @@ def backward_alloc(net, passes, target):
     return np.concatenate(parts[::-1])
 
 
-def adadelta_textbook(eg2, ed2, grad, rho, eps):
+# adadelta's decay rate and epsilon, written out here and not imported, so
+# that agreement with the library also pins its constants.
+RHO, EPS = 0.95, 1e-6
+
+
+def adadelta_textbook(eg2, ed2, grad):
     """One adadelta step (Zeiler 2012) on one tensor: returns (delta, eg2', ed2')."""
-    eg2 = rho * eg2 + (1.0 - rho) * grad**2
-    delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * grad
-    ed2 = rho * ed2 + (1.0 - rho) * delta**2
+    eg2 = RHO * eg2 + (1.0 - RHO) * grad**2
+    delta = -np.sqrt(ed2 + EPS) / np.sqrt(eg2 + EPS) * grad
+    ed2 = RHO * ed2 + (1.0 - RHO) * delta**2
     return delta, eg2, ed2
 
 
-def adadelta_delta(eg2, ed2, grad, rho, eps):
+def adadelta_delta(eg2, ed2, grad):
     """The library's `adadelta_step` on a copy of the state: (delta, eg2', ed2').
 
     It steps a parameter of -0.0, and -0.0 - s is exactly -s, signed zeros included.
     """
-    from deepmatch.network import Adadelta, adadelta_step
+    from deepmatch.network import adadelta_step
 
     grad = np.asarray(grad, dtype=float)
     state = np.array([eg2, ed2], dtype=float)
     delta = np.full(grad.shape, -0.0)
-    adadelta_step(delta, grad, state, Adadelta(rho, eps), np.empty((3,) + grad.shape))
+    adadelta_step(delta, grad, state, np.empty((3,) + grad.shape))
     return delta, state[0], state[1]
 
 
 def train_per_tensor(net, x, y, cfg):
-    """Mini-batch training with one optimiser update per weight matrix and bias.
+    """Mini-batch training with one adadelta update per weight matrix and bias.
 
     The same batches, dropout draws and update formulas as `network.train`,
     but through the allocating passes above, a fresh `x[idx]` gather per
-    batch, and one optimiser call per tensor: each tensor (a `net.split` view
-    of `theta`) keeps its own adadelta accumulators and gets its own
+    batch, and one update per tensor: each tensor (a `net.split` view of
+    `theta`) keeps its own adadelta accumulators and gets its own
     `adadelta_textbook` call. Returns the per-epoch mean batch loss.
     """
-    from deepmatch.network import Adadelta
-
-    opt = cfg.optimizer
     tensors = [t for pair in net.split(net.theta) for t in pair]
     eg2 = [np.zeros_like(t) for t in tensors]
     ed2 = [np.zeros_like(t) for t in tensors]
@@ -228,11 +230,8 @@ def train_per_tensor(net, x, y, cfg):
             losses.append(loss_alloc(net, passes[0][-1], y[idx]))
             grads = [g for pair in net.split(backward_alloc(net, passes, y[idx])) for g in pair]
             for i, (t, g) in enumerate(zip(tensors, grads)):
-                if isinstance(opt, Adadelta):
-                    delta, eg2[i], ed2[i] = adadelta_textbook(eg2[i], ed2[i], g, opt.rho, opt.eps)
-                    t += delta
-                else:
-                    t -= opt.lr * g
+                delta, eg2[i], ed2[i] = adadelta_textbook(eg2[i], ed2[i], g)
+                t += delta
         history.append(float(np.mean(losses)))
     return history
 

@@ -211,7 +211,7 @@ def test_adadelta_step_matches_elementwise_formula():
         eg2 = rng.random(shape)
         ed2 = rng.random(shape)
         grad = rng.standard_normal(shape)
-        delta, eg2_new, ed2_new = adadelta_delta(eg2, ed2, grad, rho, eps)
+        delta, eg2_new, ed2_new = adadelta_delta(eg2, ed2, grad)
         for idx, g in np.ndenumerate(grad):
             e_g = rho * eg2[idx] + (1.0 - rho) * g * g
             d = -math.sqrt(ed2[idx] + eps) / math.sqrt(e_g + eps) * g

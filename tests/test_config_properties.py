@@ -18,7 +18,6 @@ from deepmatch.experiments import (
     PROPENSITY_METHODS,
     SWISSROLL_METHODS,
     ConfigError,
-    parse_gradcheck,
     parse_propensity,
     parse_swissroll,
 )
@@ -81,7 +80,7 @@ VALID = {
         },
     ),
     "gradcheck": (
-        parse_gradcheck,
+        EXPERIMENTS["gradcheck"].parse,
         EXPERIMENTS["gradcheck"].resolve,
         {
             "seed": SEED,

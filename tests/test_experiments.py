@@ -16,7 +16,6 @@ from deepmatch.experiments import (
     PropensityRun,
     StageError,
     SwissRollRun,
-    parse_gradcheck,
     parse_propensity,
     parse_swissroll,
     prepare_out_dir,
@@ -39,6 +38,8 @@ PS_SMALL = {
     "dataset": {"n_pairs": 60},
     "net": {"batch_size": 16},
 }
+
+GRADCHECK = EXPERIMENTS["gradcheck"]
 
 
 class TestParseSwissroll:
@@ -156,23 +157,23 @@ class TestParsePropensity:
 
 class TestParseGradcheck:
     def test_empty_doc_gives_defaults(self):
-        assert parse_gradcheck({}) == GradcheckRun()
+        assert GRADCHECK.parse({}) == GradcheckRun()
 
     def test_resolved_config_reparses_identically(self):
-        cfg = parse_gradcheck({"seed": 4, "count": 6, "step": 1e-6, "tolerance": 1e-3})
-        assert parse_gradcheck(EXPERIMENTS["gradcheck"].resolve(cfg)) == cfg
+        cfg = GRADCHECK.parse({"seed": 4, "count": 6, "step": 1e-6, "tolerance": 1e-3})
+        assert GRADCHECK.parse(GRADCHECK.resolve(cfg)) == cfg
 
     def test_positivity_validated(self):
         with pytest.raises(ConfigError, match="step"):
-            parse_gradcheck({"step": 0.0})
+            GRADCHECK.parse({"step": 0.0})
         with pytest.raises(ConfigError, match="tolerance"):
-            parse_gradcheck({"tolerance": -1.0})
+            GRADCHECK.parse({"tolerance": -1.0})
         with pytest.raises(ConfigError, match="count"):
-            parse_gradcheck({"count": 0})
+            GRADCHECK.parse({"count": 0})
 
     def test_corrupt_must_be_bool(self):
         with pytest.raises(ConfigError, match="corrupt"):
-            parse_gradcheck({"corrupt": 1})
+            GRADCHECK.parse({"corrupt": 1})
 
 
 class TestPrepareOutDir:
@@ -352,7 +353,7 @@ class TestRunPropensity:
 
 class TestRunGradcheck:
     def test_default_grid_passes(self, tmp_path):
-        results, all_pass = run_gradcheck(parse_gradcheck({"count": 6}), tmp_path / "out")
+        results, all_pass = run_gradcheck(GRADCHECK.parse({"count": 6}), tmp_path / "out")
         assert all_pass is True
         assert len(results) == 6
         names = [r["name"] for r in results]
@@ -369,7 +370,7 @@ class TestRunGradcheck:
 
     def test_corrupt_gradient_fails(self, tmp_path):
         results, all_pass = run_gradcheck(
-            parse_gradcheck({"count": 3, "corrupt": True}), tmp_path / "out"
+            GRADCHECK.parse({"count": 3, "corrupt": True}), tmp_path / "out"
         )
         assert all_pass is False
         assert any(not r["pass"] for r in results)
@@ -498,7 +499,7 @@ def test_readme_config_blocks_are_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     docs = [json.loads(chunk) for chunk in re.split(r"^//.*$", block, flags=re.M) if chunk.strip()]
-    parsers = {"swissroll": parse_swissroll, "propensity": parse_propensity, "gradcheck": parse_gradcheck}
+    parsers = {name: experiment.parse for name, experiment in EXPERIMENTS.items()}
     defaults = {"swissroll": SwissRollRun(), "propensity": PropensityRun(), "gradcheck": GradcheckRun()}
     assert sorted(d["experiment"] for d in docs) == sorted(parsers)
     for doc in docs:

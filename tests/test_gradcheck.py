@@ -22,9 +22,14 @@ def test_default_grid_size_and_coverage():
 
 
 def test_grid_gradients_match_finite_differences():
-    for case in default_grid(24, seed=0):
-        err = run_case(case)
-        assert err < 1e-4, f"{case.name}: {err}"
+    # With zero biases, 13 of the seeds 1004-1020 failed a case on a correct
+    # backward pass: a dead width-1 relu layer left the next layer's
+    # pre-activations at relu's kink, where a central difference reads half
+    # a slope.
+    for seed in (0, *range(1004, 1021)):
+        for case in default_grid(24, seed=seed):
+            err = run_case(case)
+            assert err < 1e-4, f"seed {seed}, {case.name}: {err}"
 
 
 def test_corrupted_gradient_detected():

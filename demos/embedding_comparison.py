@@ -28,17 +28,17 @@ from deepmatch import (
 def fit_all(x_train, seed):
     # offsets keep the training stream independent of the data draw,
     # mirroring the experiment pipeline
-    train_cfg = TrainConfig(epochs=400, batch_size=32, seed=seed + 2000)
+    train_cfg = TrainConfig(epochs=400, batch_size=32)
     return {
         "raw_knn": fit_identity(x_train),
         "pca": fit_pca(x_train, 2),
         "lle": fit_lle(x_train, 2, k_neighbors=10, reg=1e-3),
-        "autoencoder": fit_autoencoder(x_train, 2, train_cfg=train_cfg),
+        "autoencoder": fit_autoencoder(x_train, 2, train_cfg, seed=seed + 2000),
     }
 
 
 def main(seed=0):
-    ds = gen_swiss_roll(SwissRollConfig(seed=seed))
+    ds = gen_swiss_roll(SwissRollConfig(), seed)
     train_idx, test_idx = train_test_split(ds.n_units, 0.2, seed + 1000)
     test_mask = np.zeros(ds.n_units, dtype=bool)
     test_mask[test_idx] = True

@@ -10,7 +10,6 @@ scores, and count how often a unit finds its own partner.
 import numpy as np
 
 from deepmatch import (
-    PropensityFitConfig,
     balance_report,
     fit_propensity,
     gen_propensity_pairs,
@@ -38,11 +37,10 @@ def show_balance(ds, scores):
 
 def main(seed=0):
     ds = gen_propensity_pairs(500, 0.02, seed=seed)
-    cfg = PropensityFitConfig(seed=seed)
     print(f"{ds.n_units} units: 500 treated, 500 jittered controls\n")
 
     for kind in ("logistic", "propensity_net"):
-        model, test_idx = fit_propensity(kind, ds.x, ds.w, cfg)
+        model, test_idx = fit_propensity(kind, ds.x, ds.w, seed=seed)
         scores = model.predict(ds.x)
         queries, matched = propensity_match(scores, ds.w, query_arm=1)
         report = misassignment_report(

@@ -27,7 +27,7 @@ def hand_example():
 
 
 def twin_study():
-    ds = duplicate_twins(gen_swiss_roll(SwissRollConfig(n=250, seed=7)))
+    ds = duplicate_twins(gen_swiss_roll(SwissRollConfig(n=250), 7))
     est = estimate_effects(ds.x, ds.w, ds.y_obs, k=1)
     worst = float(np.abs(est.ite - ds.truth.ite_true).max())
     print(f"\n{ds.n_units} units after twinning (each unit plus its opposite-arm clone)")

@@ -111,7 +111,6 @@ class SwissRollConfig:
     coeff_treated: tuple[float, float, float] = (2.0, 1.0, 1.0)
     outcome_noise_sigma: float = 0.0
     p_treat: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -125,8 +124,6 @@ class SwissRollConfig:
             raise ValueError("noise sigmas must be >= 0")
         if not 0.0 <= self.p_treat <= 1.0:
             raise ValueError(f"p_treat must be in [0, 1], got {self.p_treat}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 def roll_surface(u, v):
@@ -152,8 +149,8 @@ def _band_labels(t: np.ndarray) -> np.ndarray:
     return group
 
 
-def gen_swiss_roll(cfg: SwissRollConfig) -> ObservationalDataset:
-    """Draw a swiss-roll dataset with linear potential outcomes.
+def gen_swiss_roll(cfg: SwissRollConfig, seed: int) -> ObservationalDataset:
+    """Draw a swiss-roll dataset with linear potential outcomes, seeded by `seed`.
 
     Draw order (fixed for reproducibility): u, v, positional noise, treatment,
     control outcome noise, treated outcome noise. Outcomes are linear in the
@@ -161,7 +158,7 @@ def gen_swiss_roll(cfg: SwissRollConfig) -> ObservationalDataset:
     so the unit effect is exactly y1 - y0 (noiseless at the default
     outcome_noise_sigma = 0).
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = cfg.n
     u = rng.random(n)
     v = rng.random(n)

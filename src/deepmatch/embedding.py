@@ -206,19 +206,21 @@ def fit_autoencoder(
     m: int,
     train_cfg: TrainConfig,
     hidden: tuple[int, ...] = (),
+    *,
+    seed: int,
 ) -> AutoencoderEmbedder:
     """Train a reconstruction network on standardized x; embed at the bottleneck.
 
     `hidden` inserts extra symmetric tanh layers around the bottleneck
-    (empty tuple = plain d -> m -> d). `train_cfg` sets the epochs, the batch
-    size and the seed of both the initial weights and training, by adadelta.
+    (empty tuple = plain d -> m -> d). `train_cfg` is the schedule of training
+    by adadelta; `seed` draws the initial weights and the shuffling.
     """
     x = _check_fit_input(x, m)
     mean, scale = _column_stats(x)
     z = (x - mean) / scale
     spec = autoencoder_spec(x.shape[1], m, hidden)
-    net = init_network(spec, seed=train_cfg.seed)
-    history = train(net, z, z, train_cfg)
+    net = init_network(spec, seed=seed)
+    history = train(net, z, z, train_cfg, seed)
     return AutoencoderEmbedder(
         mean=mean,
         scale=scale,

@@ -44,12 +44,14 @@ from .propensity import fit as fit_propensity
 CONFIG_VERSION = 1
 
 # Derived seed substreams: the dataset draw, the train/test split and the
-# network training must not share a generator, or changing one would
-# silently reshuffle the others.
+# network training must not share a generator, or changing one would silently
+# reshuffle the others. Propensity still shares one: its run seed draws the
+# dataset, and `propensity.fit` takes it for the split and the dense classifier.
 SPLIT_SEED_OFFSET = 1000
 TRAIN_SEED_OFFSET = 2000
 
 SWISSROLL_METHODS = ("raw_knn", "pca", "lle", "autoencoder")
+SWISSROLL_COVARIATES = 3  # the columns gen_swiss_roll draws: a point on the roll
 PROPENSITY_METHODS = ("logistic", "propensity_net")
 
 # Column labels of the misassignment comparison table, kept verbatim.
@@ -141,15 +143,15 @@ class Field(NamedTuple):
 
     `path` is its place in the document, "key" or "section.key"; `kind` is
     its JSON type (see `_value`). `bound` checks the typed value; it is
-    given only where no domain dataclass checks it. `attrs` are the run
-    attributes the value sets (default: the path); "a.b" sets field b of
+    given only where no domain dataclass checks it. `attr` is the run
+    attribute the value sets (default: the path); "a.b" sets field b of
     the nested domain dataclass a, whose own checks then apply.
     """
 
     path: str
     kind: object
     bound: Callable | None = None
-    attrs: tuple = ()
+    attr: str = ""
 
 
 def _set(obj, attr: str, value):
@@ -210,8 +212,7 @@ class Experiment:
             if f.bound is not None:
                 f.bound(value, where)
             try:
-                for attr in f.attrs or (f.path,):
-                    cfg = _set(cfg, attr, value)
+                cfg = _set(cfg, f.attr or f.path, value)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         return cfg
@@ -221,7 +222,7 @@ class Experiment:
         doc = {"version": CONFIG_VERSION, "experiment": self.name}
         for f in self.fields:
             head, _, key = f.path.rpartition(".")
-            value = attrgetter((f.attrs or (f.path,))[0])(cfg)
+            value = attrgetter(f.attr or f.path)(cfg)
             section = doc.setdefault(head, {}) if head else doc
             section[key] = list(value) if isinstance(value, tuple) else value
         return doc
@@ -236,15 +237,14 @@ class SwissRollRun:
     k_matches: int = 1
     embed_dim: int = 2
     twin_mode: bool = False
-    ae_epochs: int = 400
-    ae_batch_size: int = 32
+    autoencoder: TrainConfig = TrainConfig(epochs=400, batch_size=32)
     ae_hidden: tuple = ()
     lle_neighbors: int = 10
     lle_reg: float = 1e-3
 
 
 SWISSROLL_FIELDS = (
-    Field("seed", int, _at_least(0), ("seed", "dataset.seed")),
+    Field("seed", int, _at_least(0)),
     # Bounded by SwissRollConfig.
     Field("dataset.n", int),
     Field("dataset.noise_sigma", float),
@@ -257,11 +257,12 @@ SWISSROLL_FIELDS = (
     Field("k_matches", int, _at_least(1)),
     Field("embed_dim", int, _at_least(1)),
     Field("twin_mode", bool),
-    Field("autoencoder.epochs", int, _at_least(1), ("ae_epochs",)),
-    Field("autoencoder.batch_size", int, _at_least(1), ("ae_batch_size",)),
-    Field("autoencoder.hidden", [int], _at_least(1), ("ae_hidden",)),
-    Field("lle.k_neighbors", int, _at_least(1), ("lle_neighbors",)),
-    Field("lle.reg", float, _POSITIVE, ("lle_reg",)),
+    # Bounded by TrainConfig.
+    Field("autoencoder.epochs", int),
+    Field("autoencoder.batch_size", int),
+    Field("autoencoder.hidden", [int], _at_least(1), "ae_hidden"),
+    Field("lle.k_neighbors", int, _at_least(1), "lle_neighbors"),
+    Field("lle.reg", float, _POSITIVE, "lle_reg"),
 )
 
 
@@ -278,20 +279,20 @@ class PropensityRun:
 
 
 PROPENSITY_FIELDS = (
-    Field("seed", int, _at_least(0), ("seed", "fit.seed")),
-    Field("dataset.n_pairs", int, _at_least(2), ("n_pairs",)),
-    Field("dataset.jitter_sigma", float, _POSITIVE, ("jitter_sigma",)),
+    Field("seed", int, _at_least(0)),
+    Field("dataset.n_pairs", int, _at_least(2), "n_pairs"),
+    Field("dataset.jitter_sigma", float, _POSITIVE, "jitter_sigma"),
     Field("methods", [str], _methods(PROPENSITY_METHODS)),
-    # Bounded by PropensityFitConfig, as are the net.* and logistic.* values.
-    Field("test_fraction", float, attrs=("fit.test_fraction",)),
+    # Bounded by PropensityFitConfig and its TrainConfig, as are net.* and logistic.*.
+    Field("test_fraction", float, attr="fit.test_fraction"),
     Field("include_outcome", bool),
     Field("query_arm", int, _ARM),
     Field("threshold", float, _OPEN_UNIT),
-    Field("net.epochs", int, attrs=("fit.epochs",)),
-    Field("net.batch_size", int, attrs=("fit.batch_size",)),
-    Field("logistic.l2", float, attrs=("fit.l2",)),
-    Field("logistic.max_iter", int, attrs=("fit.max_iter",)),
-    Field("logistic.grad_tol", float, attrs=("fit.grad_tol",)),
+    Field("net.epochs", int, attr="fit.net.epochs"),
+    Field("net.batch_size", int, attr="fit.net.batch_size"),
+    Field("logistic.l2", float, attr="fit.l2"),
+    Field("logistic.max_iter", int, attr="fit.max_iter"),
+    Field("logistic.grad_tol", float, attr="fit.grad_tol"),
 )
 
 
@@ -331,16 +332,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _write_results(out: Path, name: str, cfg, reports: dict, header, rows) -> None:
@@ -359,13 +352,21 @@ def _fit_embedder(method: str, x_train: np.ndarray, cfg: SwissRollRun):
     if method == "lle":
         return fit_lle(x_train, cfg.embed_dim, k_neighbors=cfg.lle_neighbors, reg=cfg.lle_reg)
     if method == "autoencoder":
-        train_cfg = TrainConfig(
-            epochs=cfg.ae_epochs,
-            batch_size=cfg.ae_batch_size,
-            seed=cfg.seed + TRAIN_SEED_OFFSET,
-        )
-        return fit_autoencoder(x_train, cfg.embed_dim, train_cfg=train_cfg, hidden=cfg.ae_hidden)
+        return fit_autoencoder(x_train, cfg.embed_dim, cfg.autoencoder, cfg.ae_hidden,
+                               seed=cfg.seed + TRAIN_SEED_OFFSET)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _check_dimensions(cfg: SwissRollRun) -> None:
+    """Bounds between values that fail a fit on any draw; data-dependent ones stay stage errors."""
+    d = SWISSROLL_COVARIATES
+    for method, limit in (("pca", d), ("lle", d - 1), ("autoencoder", d - 1)):
+        if method in cfg.methods and cfg.embed_dim > limit:
+            raise ConfigError(f"config.embed_dim must be <= {limit} for {method} (the swiss "
+                              f"roll has {d} covariates), got {cfg.embed_dim}")
+    if "lle" in cfg.methods and cfg.lle_neighbors < cfg.embed_dim + 1:
+        raise ConfigError(f"config.lle.k_neighbors must be >= embed_dim + 1 = "
+                          f"{cfg.embed_dim + 1} for lle, got {cfg.lle_neighbors}")
 
 
 def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
@@ -375,9 +376,10 @@ def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
     split could strand a unit's clone outside the pool, and the mode
     exists to verify exact recovery).
     """
+    _check_dimensions(cfg)
     out = prepare_out_dir(out_dir, force)
     with _stage("dataset"):
-        ds = gen_swiss_roll(cfg.dataset)
+        ds = gen_swiss_roll(cfg.dataset, cfg.seed)
         if cfg.twin_mode:
             ds = duplicate_twins(ds)
     if cfg.twin_mode:
@@ -416,7 +418,6 @@ def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
             reports.append(ite_error(est, ds.truth, test_mask, method=method, seed=cfg.seed))
         with _stage(f"write:{method}"):
             header = ["index", "split", "group", "w"] + [f"z{j+1}" for j in range(z.shape[1])]
-            # Python scalars, so each cell prints as repr(float) or str(int)
             columns = (np.arange(ds.n_units), split_label, ds.truth.group, ds.w, *z.T)
             _write_csv(
                 out / f"embedding_{method}.csv", header, zip(*(c.tolist() for c in columns))
@@ -453,7 +454,7 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
     reports = []
     for method in cfg.methods:
         with _stage(f"fit:{method}"):
-            model, test_idx = fit_propensity(method, features, ds.w, cfg.fit)
+            model, test_idx = fit_propensity(method, features, ds.w, cfg.fit, seed=cfg.seed)
         with _stage(f"score:{method}"):
             scores = model.predict(features)
         with _stage(f"match:{method}"):
@@ -471,7 +472,6 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
                 )
             )
         with _stage(f"write:{method}"):
-            # Python scalars, so each cell prints as repr(float) or str(int)
             columns = (
                 queries,
                 scores[queries],

@@ -34,11 +34,14 @@ def _softmax(z: np.ndarray) -> None:
     np.divide(z, z.sum(axis=1, keepdims=True), out=z)
 
 
-def _sigmoid(z: np.ndarray) -> None:
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    np.add(1.0, z, out=z)
-    np.divide(1.0, z, out=z)
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), into `out` (z itself for a layer) or a fresh array."""
+    # exp(-z) overflows to inf below z = -709; 1 / (1 + inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        out = np.negative(z, out=out)
+        np.exp(out, out=out)
+        np.add(1.0, out, out=out)
+        return np.divide(1.0, out, out=out)
 
 
 # name -> (the function, applied in place to the pre-activation z; its
@@ -49,7 +52,8 @@ def _sigmoid(z: np.ndarray) -> None:
 _ACTIVATIONS = {
     "identity": (None, None),
     "relu": (lambda z: np.maximum(0.0, z, out=z), lambda h, out: np.greater(h, 0.0, out=out)),
-    "sigmoid": (_sigmoid, lambda h, out: np.multiply(h, np.subtract(1.0, h, out=out), out=out)),
+    "sigmoid": (lambda z: sigmoid(z, out=z),
+                lambda h, out: np.multiply(h, np.subtract(1.0, h, out=out), out=out)),
     "tanh": (lambda z: np.tanh(z, out=z),
              lambda h, out: np.subtract(1.0, np.square(h, out=out), out=out)),
     "softmax": (_softmax, None),
@@ -125,9 +129,10 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A training schedule; the seed is not part of it, but an argument of `train`."""
+
     epochs: int
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -384,10 +389,11 @@ def _mse(residuals: np.ndarray, batch_size: int) -> float:
 
 
 def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
-          cfg: TrainConfig) -> list[float]:
+          cfg: TrainConfig, seed: int) -> list[float]:
     """Mini-batch training; mutates `net` in place and returns the loss history.
 
-    The history holds the mean batch loss of each epoch (length = cfg.epochs).
+    `seed` draws the shuffling and the dropout masks, from one stream. The
+    history holds the mean batch loss of each epoch (length = cfg.epochs).
     Raises ValueError on empty or non-finite data, and TrainingDiverged when
     an epoch ends with a non-finite loss or parameter.
 
@@ -408,7 +414,7 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
         raise ValueError("training needs at least one row, and finite inputs and targets")
     n = x.shape[0]
     size = cfg.batch_size
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     theta = net.theta
     mse = net.spec.loss == "mse"
     grad = np.empty_like(theta)

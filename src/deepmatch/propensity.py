@@ -21,6 +21,7 @@ from .network import (
     NetworkSpec,
     TrainConfig,
     init_network,
+    sigmoid,
     train,
 )
 
@@ -61,12 +62,6 @@ def build_propensity_net(input_dim: int) -> NetworkSpec:
     return NetworkSpec(tuple(layers), loss="categorical_cross_entropy")
 
 
-def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    # exp(-eta) overflows to inf below eta = -709; 1 / (1 + inf) is the exact limit 0
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-eta))
-
-
 @dataclass(frozen=True)
 class LogisticModel:
     """p = sigmoid(intercept + x @ coef).
@@ -86,7 +81,7 @@ class LogisticModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = _check_features(x, self.input_dim)
-        return _sigmoid(self.intercept + x @ self.coef)
+        return sigmoid(self.intercept + x @ self.coef)
 
 
 @dataclass(frozen=True)
@@ -108,15 +103,13 @@ class PropensityNetModel:
 class PropensityFitConfig:
     """Knobs for both model kinds; irrelevant fields are ignored per kind.
 
-    The net's default schedule, 2 epochs at batch size 128, is deliberately
-    short: trained to convergence on the jittered-pairs benchmark the net
-    learns the constant score, and score matching turns degenerate.
+    `net`, the dense classifier's schedule, is deliberately short: trained to
+    convergence on the jittered-pairs benchmark the net learns the constant
+    score, and score matching turns degenerate.
     """
 
     test_fraction: float = 0.2
-    seed: int = 0
-    epochs: int = 2
-    batch_size: int = 128
+    net: TrainConfig = TrainConfig(epochs=2, batch_size=128)
     l2: float = 0.0
     max_iter: int = 10_000
     grad_tol: float = 1e-8
@@ -130,10 +123,6 @@ class PropensityFitConfig:
             raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _check_features(x, input_dim=None) -> np.ndarray:
@@ -153,7 +142,7 @@ def _mean_nll_and_grad(design, labels, beta, ridge):
     `ridge` holds the l2 weight of each coefficient; the intercept's is 0.
     """
     eta = design @ beta
-    p = _sigmoid(eta)
+    p = sigmoid(eta)
     nll = float(np.mean(np.logaddexp(0.0, eta) - labels * eta)) + 0.5 * float(ridge @ beta**2)
     grad = design.T @ (p - labels) / design.shape[0] + ridge * beta
     return nll, grad, p
@@ -228,15 +217,14 @@ def _check_labels(w, n) -> np.ndarray:
 
 
 def fit_propensity_net(
-    x: np.ndarray, w: np.ndarray, cfg: PropensityFitConfig = PropensityFitConfig()
+    x: np.ndarray, w: np.ndarray, cfg: PropensityFitConfig = PropensityFitConfig(), *, seed: int
 ) -> PropensityNetModel:
-    """Train the dense softmax classifier on one-hot treatment labels."""
+    """Train the dense softmax classifier on one-hot labels; `seed` draws init and training."""
     x = _check_features(x)
     labels = _check_labels(w, x.shape[0])
     targets = np.column_stack([1.0 - labels, labels])
-    net = init_network(build_propensity_net(x.shape[1]), seed=cfg.seed)
-    train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed)
-    train(net, x, targets, train_cfg)
+    net = init_network(build_propensity_net(x.shape[1]), seed=seed)
+    train(net, x, targets, cfg.net, seed)
     return PropensityNetModel(network=net)
 
 
@@ -245,23 +233,26 @@ def fit(
     x: np.ndarray,
     w: np.ndarray,
     cfg: PropensityFitConfig = PropensityFitConfig(),
+    *,
+    seed: int,
 ) -> tuple[LogisticModel | PropensityNetModel, np.ndarray]:
-    """Fit on the training fold of a seeded holdout split.
+    """Fit on the training fold of a holdout split drawn from `seed`.
 
     Returns (model, test_indices): the fitted LogisticModel or
     PropensityNetModel, and the sorted held-out rows, on which accuracy is
-    reported. All the features and labels are checked before the split, and
-    the fitter checks the training fold again; a fold left with one
-    treatment class raises ValueError.
+    reported. The same `seed` seeds the dense classifier; the logistic fit
+    draws nothing. All the features and labels are checked before the
+    split, and the fitter checks the training fold again; a fold left with
+    one treatment class raises ValueError.
     """
-    # looked up at each call, so that a wrapper set on the module's fitters is called
-    fitters = {"logistic": fit_logistic, "propensity_net": fit_propensity_net}
     x = _check_features(x)
     labels = _check_labels(w, x.shape[0])
-    if model_kind not in fitters:
+    if model_kind not in ("logistic", "propensity_net"):
         raise ValueError(f"unknown model kind {model_kind!r}")
-    train_idx, test_idx = train_test_split(x.shape[0], cfg.test_fraction, cfg.seed)
-    return fitters[model_kind](x[train_idx], labels[train_idx], cfg), test_idx
+    train_idx, test_idx = train_test_split(x.shape[0], cfg.test_fraction, seed)
+    if model_kind == "logistic":
+        return fit_logistic(x[train_idx], labels[train_idx], cfg), test_idx
+    return fit_propensity_net(x[train_idx], labels[train_idx], cfg, seed=seed), test_idx
 
 
 @dataclass(frozen=True)

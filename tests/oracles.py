@@ -206,7 +206,7 @@ def adadelta_delta(eg2, ed2, grad):
     return delta, state[0], state[1]
 
 
-def train_per_tensor(net, x, y, cfg):
+def train_per_tensor(net, x, y, cfg, seed):
     """Mini-batch training with one adadelta update per weight matrix and bias.
 
     The same batches, dropout draws and update formulas as `network.train`,
@@ -218,7 +218,7 @@ def train_per_tensor(net, x, y, cfg):
     tensors = [t for pair in net.split(net.theta) for t in pair]
     eg2 = [np.zeros_like(t) for t in tensors]
     ed2 = [np.zeros_like(t) for t in tensors]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = x.shape[0]
     history = []
     for _ in range(cfg.epochs):

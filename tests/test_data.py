@@ -37,23 +37,23 @@ class TestRollSurface:
 
 class TestSwissRoll:
     def test_shapes_and_arm_balance(self):
-        ds = gen_swiss_roll(SwissRollConfig(seed=0))
+        ds = gen_swiss_roll(SwissRollConfig(), 0)
         assert ds.x.shape == (1500, 3)
         n1 = int(ds.w.sum())
         n0 = ds.n_units - n1
         assert min(n0, n1) > 600  # Bernoulli(0.5) far from degenerate
 
     def test_six_equal_bands(self):
-        ds = gen_swiss_roll(SwissRollConfig(seed=1))
+        ds = gen_swiss_roll(SwissRollConfig(), 1)
         assert np.array_equal(np.bincount(ds.truth.group), [250] * 6)
 
     def test_band_sizes_differ_by_at_most_one(self):
-        ds = gen_swiss_roll(SwissRollConfig(n=1000, seed=2))
+        ds = gen_swiss_roll(SwissRollConfig(n=1000), 2)
         counts = np.bincount(ds.truth.group)
         assert counts.max() - counts.min() <= 1
 
     def test_bands_follow_roll_parameter(self):
-        ds = gen_swiss_roll(SwissRollConfig(noise_sigma=0.0, seed=3))
+        ds = gen_swiss_roll(SwissRollConfig(noise_sigma=0.0), 3)
         t = np.hypot(ds.x[:, 0], ds.x[:, 2])
         order = np.argsort(t, kind="stable")
         expect = np.empty(len(t), dtype=int)
@@ -61,8 +61,8 @@ class TestSwissRoll:
         assert np.array_equal(expect, ds.truth.group)
 
     def test_linear_outcomes_against_per_row_dot_products(self):
-        cfg = SwissRollConfig(n=40, noise_sigma=0.0, seed=4)
-        ds = gen_swiss_roll(cfg)
+        cfg = SwissRollConfig(n=40, noise_sigma=0.0)
+        ds = gen_swiss_roll(cfg, 4)
         a, b = cfg.coeff_control, cfg.coeff_treated
         for i in range(ds.n_units):
             y0 = sum(a[j] * ds.x[i, j] for j in range(3))
@@ -81,17 +81,17 @@ class TestSwissRoll:
         assert cfg.coeff_treated == (2.0, 1.0, 1.0)
 
     def test_unit_effect_is_first_coordinate_for_defaults(self):
-        ds = gen_swiss_roll(SwissRollConfig(noise_sigma=0.0, seed=5))
+        ds = gen_swiss_roll(SwissRollConfig(noise_sigma=0.0), 5)
         assert np.allclose(ds.truth.ite_true, ds.x[:, 0], atol=1e-10)
 
     def test_observed_outcome_selects_by_arm(self):
-        ds = gen_swiss_roll(SwissRollConfig(seed=6))
+        ds = gen_swiss_roll(SwissRollConfig(), 6)
         t = ds.truth
         assert np.array_equal(ds.y_obs, np.where(ds.w == 1, t.y1, t.y0))
 
     def test_outcome_noise_draws_each_potential_outcome_apart(self):
-        clean = gen_swiss_roll(SwissRollConfig(outcome_noise_sigma=0.0, seed=7))
-        noisy = gen_swiss_roll(SwissRollConfig(outcome_noise_sigma=0.5, seed=7))
+        clean = gen_swiss_roll(SwissRollConfig(outcome_noise_sigma=0.0), 7)
+        noisy = gen_swiss_roll(SwissRollConfig(outcome_noise_sigma=0.5), 7)
         assert np.array_equal(clean.x, noisy.x) and np.array_equal(clean.w, noisy.w)
         shift0 = noisy.truth.y0 - clean.truth.y0
         shift1 = noisy.truth.y1 - clean.truth.y1
@@ -101,15 +101,15 @@ class TestSwissRoll:
         assert np.all(noisy.truth.ite_true != clean.truth.ite_true)
 
     def test_same_seed_identical(self):
-        a = gen_swiss_roll(SwissRollConfig(seed=8))
-        b = gen_swiss_roll(SwissRollConfig(seed=8))
+        a = gen_swiss_roll(SwissRollConfig(), 8)
+        b = gen_swiss_roll(SwissRollConfig(), 8)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.y_obs, b.y_obs)
 
     def test_different_seed_differs(self):
-        a = gen_swiss_roll(SwissRollConfig(seed=9))
-        b = gen_swiss_roll(SwissRollConfig(seed=10))
+        a = gen_swiss_roll(SwissRollConfig(), 9)
+        b = gen_swiss_roll(SwissRollConfig(), 10)
         assert not np.array_equal(a.x, b.x)
 
     def test_config_validation(self):
@@ -167,7 +167,7 @@ class TestPropensityPairs:
 
 class TestDuplicateTwins:
     def test_clones_carry_counterfactuals(self):
-        ds = gen_swiss_roll(SwissRollConfig(n=60, seed=11))
+        ds = gen_swiss_roll(SwissRollConfig(n=60), 11)
         tw = duplicate_twins(ds)
         n = ds.n_units
         assert tw.n_units == 2 * n

@@ -114,23 +114,23 @@ class TestPca:
 class TestAutoencoder:
     def test_plane_reconstruction_mse_under_default_epochs(self):
         x = plane_data(n=300, seed=10)
-        emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=400, seed=0))
+        emb = fit_autoencoder(x, 2, TrainConfig(epochs=400), seed=0)
         recon = emb.network.predict((x - emb.mean) / emb.scale) * emb.scale + emb.mean
         assert np.mean((recon - x) ** 2) < 1e-2
 
     def test_m_equal_d_rejected(self):
         x = np.random.default_rng(11).normal(size=(30, 3))
         with pytest.raises(ValueError):
-            fit_autoencoder(x, 3, train_cfg=TrainConfig(epochs=1))
+            fit_autoencoder(x, 3, TrainConfig(epochs=1), seed=0)
 
     def test_swiss_roll_transform_shape(self):
-        ds = gen_swiss_roll(SwissRollConfig(seed=0))
-        emb = fit_autoencoder(ds.x, 2, train_cfg=TrainConfig(epochs=2))
+        ds = gen_swiss_roll(SwissRollConfig(), 0)
+        emb = fit_autoencoder(ds.x, 2, TrainConfig(epochs=2), seed=0)
         assert emb.transform(ds.x).shape == (1500, 2)
 
     def test_transform_is_truncated_forward(self):
         x = plane_data(n=60, seed=12)
-        emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=30, seed=3))
+        emb = fit_autoencoder(x, 2, TrainConfig(epochs=30), seed=3)
         z = (x - emb.mean) / emb.scale
         full = emb.network.forward(z)
         bottleneck = full.hidden[emb.n_encoder_layers - 1]
@@ -138,28 +138,28 @@ class TestAutoencoder:
 
     def test_transform_calls_share_no_memory(self):
         x = plane_data(n=40, seed=15)
-        emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=3, seed=4))
+        emb = fit_autoencoder(x, 2, TrainConfig(epochs=3), seed=4)
         a, b = emb.transform(x), emb.transform(x)
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, b)
 
     def test_hidden_layers_flag(self):
         x = plane_data(n=60, seed=13)
-        emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=5), hidden=(6,))
+        emb = fit_autoencoder(x, 2, TrainConfig(epochs=5), hidden=(6,), seed=0)
         assert emb.n_encoder_layers == 2
         assert len(emb.network.spec.layers) == 4
         assert emb.transform(x).shape == (60, 2)
 
     def test_same_seed_same_embedding(self):
         x = plane_data(n=50, seed=14)
-        cfg = TrainConfig(epochs=20, seed=5)
-        a = fit_autoencoder(x, 2, train_cfg=cfg)
-        b = fit_autoencoder(x, 2, train_cfg=cfg)
+        cfg = TrainConfig(epochs=20)
+        a = fit_autoencoder(x, 2, cfg, seed=5)
+        b = fit_autoencoder(x, 2, cfg, seed=5)
         assert np.array_equal(a.transform(x), b.transform(x))
 
     def test_loss_history_recorded(self):
         x = plane_data(n=50, seed=15)
-        emb = fit_autoencoder(x, 2, train_cfg=TrainConfig(epochs=12, seed=0))
+        emb = fit_autoencoder(x, 2, TrainConfig(epochs=12), seed=0)
         assert len(emb.loss_history) == 12
         assert emb.loss_history[-1] < emb.loss_history[0]
 
@@ -242,7 +242,7 @@ class TestLle:
         assert np.array_equal(want[-1], emb.embedding[4])
 
     def test_sparse_solve_matches_dense_oracle_on_swiss_roll(self):
-        x = gen_swiss_roll(SwissRollConfig(n=600, seed=3)).x
+        x = gen_swiss_roll(SwissRollConfig(n=600), 3).x
         emb = fit_lle(x, 2, k_neighbors=10, reg=1e-3)
         vals, vecs = lle_dense_eigh(*lle_weight_matrix(x, 10, 1e-3))
         assert vals[3] - vals[2] > 1e-7, "degenerate spectrum would make the check ill-posed"
@@ -257,7 +257,7 @@ class TestLle:
             fit_lle(x, 2, k_neighbors=6)
 
     def test_refit_identical_with_oriented_signs(self):
-        x = gen_swiss_roll(SwissRollConfig(n=300, seed=5)).x
+        x = gen_swiss_roll(SwissRollConfig(n=300), 5).x
         a, b = fit_lle(x, 2), fit_lle(x, 2)
         assert np.array_equal(a.embedding, b.embedding)
         assert np.array_equal(a.eigenvalues, b.eigenvalues) and a.sweeps == b.sweeps
@@ -266,12 +266,12 @@ class TestLle:
 
     def test_sweep_cap_raises_named_error(self, monkeypatch):
         monkeypatch.setattr(embedding, "_MAX_SWEEPS", 1)
-        x = gen_swiss_roll(SwissRollConfig(n=300, seed=5)).x
+        x = gen_swiss_roll(SwissRollConfig(n=300), 5).x
         with pytest.raises(LleDidNotConverge, match="after 1 sweeps"):
             fit_lle(x, 2)
 
     def test_fit_allocates_no_n_by_n_array(self):
-        x = gen_swiss_roll(SwissRollConfig(n=2500, seed=6)).x
+        x = gen_swiss_roll(SwissRollConfig(n=2500), 6).x
         tracemalloc.start()
         try:
             fit_lle(x, 2)
@@ -297,7 +297,7 @@ class TestTransformValidation:
             "identity": fit_identity,
             "pca": lambda x: fit_pca(x, 2),
             "lle": lambda x: fit_lle(x, 2, k_neighbors=5),
-            "autoencoder": lambda x: fit_autoencoder(x, 2, TrainConfig(epochs=1)),
+            "autoencoder": lambda x: fit_autoencoder(x, 2, TrainConfig(epochs=1), seed=0),
         }[kind]
         emb = fit(x)
         x[3, 1] = bad

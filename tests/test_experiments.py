@@ -9,6 +9,7 @@ import pytest
 
 from deepmatch import experiments
 from deepmatch.cli import main
+from deepmatch.data import SwissRollConfig, gen_swiss_roll
 from deepmatch.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -24,6 +25,8 @@ from deepmatch.experiments import (
     run_swissroll,
 )
 from deepmatch.metrics import REFERENCE_MISASSIGNMENT
+from deepmatch.network import TrainConfig
+from deepmatch.propensity import PropensityFitConfig
 
 SR_SMALL = {
     "version": 1,
@@ -46,10 +49,20 @@ class TestParseSwissroll:
     def test_empty_doc_gives_defaults(self):
         assert parse_swissroll({}) == SwissRollRun()
 
-    def test_seed_override_flows_into_dataset(self):
-        cfg = parse_swissroll({"seed": 3}, seed_override=7)
+    def test_seed_override_flows_into_dataset(self, tmp_path, monkeypatch):
+        cfg = parse_swissroll(
+            {"seed": 3, "dataset": {"n": 100}, "methods": ["raw_knn"]}, seed_override=7
+        )
         assert cfg.seed == 7
-        assert cfg.dataset.seed == 7
+        draws = []
+
+        def recording_gen_swiss_roll(dataset, seed):
+            draws.append((dataset, seed))
+            return gen_swiss_roll(dataset, seed)
+
+        monkeypatch.setattr(experiments, "gen_swiss_roll", recording_gen_swiss_roll)
+        run_swissroll(cfg, tmp_path / "out")
+        assert draws == [(cfg.dataset, 7)]
 
     def test_unknown_keys_rejected_at_each_level(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -234,6 +247,12 @@ class TestRunSwissroll:
         assert (out / "embedding_pca.csv").exists()
         assert not (out / "embedding_lle.csv").exists()
         assert not (out / "embedding_autoencoder.csv").exists()
+
+    def test_pca_keeps_every_covariate(self, tmp_path):
+        cfg = parse_swissroll({"dataset": {"n": 100}, "methods": ["raw_knn", "pca"], "embed_dim": 3})
+        run_swissroll(cfg, tmp_path / "out")
+        header = (tmp_path / "out" / "embedding_pca.csv").read_text().splitlines()[0]
+        assert header == "index,split,group,w,z1,z2,z3"
 
     def test_twin_mode_recovers_effects_exactly(self, tmp_path):
         cfg = parse_swissroll(
@@ -483,6 +502,11 @@ class TestCli:
             # appended last: the ids of the cases with an `extra` list count their position
             ("propensity", '{"logistic": {"max_iter": 0}}', [], "config.logistic.max_iter"),
             ("propensity", '{"net": {"batch_size": 0}}', [], "config.net.batch_size"),
+            ("swissroll", '{"autoencoder": {"epochs": 0}}', [], "config.autoencoder.epochs: epochs"),
+            # bounds between values, checked before the output directory is made
+            ("swissroll", '{"embed_dim": 4, "methods": ["raw_knn", "pca"]}', [], "config.embed_dim"),
+            ("swissroll", '{"embed_dim": 3}', [], "config.embed_dim must be <= 2 for lle"),
+            ("swissroll", '{"lle": {"k_neighbors": 2}}', [], "config.lle.k_neighbors"),
         ],
     )
     def test_bad_values_rejected_at_parse_exit_1(self, tmp_path, capsys, command, text, extra, path):
@@ -493,6 +517,32 @@ class TestCli:
         assert rc == 1
         assert err.startswith(f"error: {path}")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SwissRollRun(
+            seed=5,
+            dataset=SwissRollConfig(n=300),
+            autoencoder=TrainConfig(epochs=3, batch_size=16),
+        ),
+        PropensityRun(seed=4, fit=PropensityFitConfig(net=TrainConfig(epochs=1, batch_size=64))),
+    ],
+    ids=["swissroll", "propensity"],
+)
+def test_run_built_in_python_round_trips(tmp_path, cfg):
+    # each value of a run record is stored once, so a record built in Python
+    # resolves to a document that parses back to it and runs to the same bytes
+    experiment = EXPERIMENTS["swissroll" if isinstance(cfg, SwissRollRun) else "propensity"]
+    reparsed = experiment.parse(experiment.resolve(cfg))
+    assert reparsed == cfg
+    experiment.run(cfg, tmp_path / "built")
+    experiment.run(reparsed, tmp_path / "parsed")
+    names = sorted(p.name for p in (tmp_path / "built").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "parsed").iterdir())
+    for name in names:
+        assert (tmp_path / "built" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes()
 
 
 def test_readme_config_blocks_are_the_defaults():

@@ -297,7 +297,7 @@ class TestEstimateEffects:
         assert np.array_equal(base.ite, scaled.ite)
 
     def test_twin_dataset_recovers_truth_exactly(self):
-        ds = duplicate_twins(gen_swiss_roll(SwissRollConfig(n=80, seed=5)))
+        ds = duplicate_twins(gen_swiss_roll(SwissRollConfig(n=80), 5))
         est = estimate_effects(ds.x, ds.w, ds.y_obs, k=1)
         assert np.abs(est.ite - ds.truth.ite_true).max() <= 1e-10
 

@@ -155,6 +155,14 @@ class TestForward:
         net = Network(spec, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
         assert np.array_equal(net.predict(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
 
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        # exp(800) overflows to inf, and 1 / (1 + inf) is the exact limit 0
+        net = Network(NetworkSpec((LayerSpec(1, 1, activation="sigmoid"),)), np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = net.predict(np.array([[-800.0], [0.0], [800.0]]))
+        assert out.ravel().tolist() == [0.0, 0.5, 1.0]
+
     def test_zero_dropout_train_equals_eval(self):
         spec = NetworkSpec((LayerSpec(3, 5, activation="tanh"), LayerSpec(5, 2)))
         net = init_network(spec, seed=4)
@@ -397,7 +405,7 @@ class TestTrain:
         net = init_network(spec, seed=0)
         x = np.random.default_rng(0).standard_normal((8, 2))
         y = x.sum(axis=1, keepdims=True)
-        history = train(net, x, y, TrainConfig(epochs=1))
+        history = train(net, x, y, TrainConfig(epochs=1), seed=0)
         assert len(history) == 1
 
     def test_same_seed_identical_history(self):
@@ -409,31 +417,31 @@ class TestTrain:
         runs = []
         for _ in range(2):
             net = init_network(spec, seed=7)
-            runs.append(train(net, x, y, TrainConfig(epochs=5, seed=3)))
+            runs.append(train(net, x, y, TrainConfig(epochs=5), seed=3))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
-        "spec, cfg",
+        "spec, cfg, seed",
         [
-            (build_propensity_net(3), TrainConfig(epochs=3, batch_size=16, seed=4)),
-            (autoencoder_spec(3, 2), TrainConfig(epochs=6, seed=5)),
-            (autoencoder_spec(3, 2, hidden=(4,)), TrainConfig(epochs=6, seed=11)),
-            (autoencoder_spec(3, 2), TrainConfig(epochs=2, batch_size=1, seed=6)),
-            (autoencoder_spec(3, 2), TrainConfig(epochs=8, batch_size=200, seed=7)),
-            (autoencoder_spec(3, 2), TrainConfig(epochs=6, batch_size=50, seed=8)),
+            (build_propensity_net(3), TrainConfig(epochs=3, batch_size=16), 4),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=6), 5),
+            (autoencoder_spec(3, 2, hidden=(4,)), TrainConfig(epochs=6), 11),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=2, batch_size=1), 6),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=8, batch_size=200), 7),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=6, batch_size=50), 8),
             (NetworkSpec((
                 LayerSpec(3, 6, activation="relu", dropout_rate=0.25),
                 LayerSpec(6, 5, activation="sigmoid", dropout_rate=0.4),
                 LayerSpec(5, 3, activation="sigmoid"),
-            )), TrainConfig(epochs=4, batch_size=16, seed=9)),
+            )), TrainConfig(epochs=4, batch_size=16), 9),
             (NetworkSpec((LayerSpec(3, 2, activation="tanh"), LayerSpec(2, 3, activation="tanh"))),
-             TrainConfig(epochs=6, batch_size=7, seed=10)),
+             TrainConfig(epochs=6, batch_size=7), 10),
         ],
         ids=["propensity_net_dropout", "autoencoder_default", "autoencoder_hidden", "batch_size_1",
              "batch_size_above_n", "batch_size_divides_n", "relu_sigmoid_dropout",
              "tanh_final_mse"],
     )
-    def test_flat_training_bit_identical_to_per_tensor_loop(self, spec, cfg):
+    def test_flat_training_bit_identical_to_per_tensor_loop(self, spec, cfg, seed):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((150, 3))
         if spec.loss == "mse":
@@ -441,8 +449,8 @@ class TestTrain:
         else:
             y = np.eye(2)[(x[:, 0] + 0.5 * rng.standard_normal(150) > 0).astype(int)]
         flat, per_tensor = init_network(spec, seed=2), init_network(spec, seed=2)
-        history = train(flat, x, y, cfg)
-        assert history == train_per_tensor(per_tensor, x, y, cfg)
+        history = train(flat, x, y, cfg, seed)
+        assert history == train_per_tensor(per_tensor, x, y, cfg, seed)
         assert (flat.theta == per_tensor.theta).all()
         for w, b in zip(flat.weights, flat.biases):
             assert np.shares_memory(w, flat.theta) and np.shares_memory(b, flat.theta)
@@ -453,7 +461,7 @@ class TestTrain:
             (LayerSpec(3, 2, activation="tanh"), LayerSpec(2, 3))
         )
         net = init_network(spec, seed=10)
-        history = train(net, x, x, TrainConfig(epochs=500, seed=10))
+        history = train(net, x, x, TrainConfig(epochs=500), seed=10)
         assert history[-1] < 0.1 * history[0]
 
     def test_divergence_aborts_with_epoch(self):
@@ -463,12 +471,12 @@ class TestTrain:
         y = np.zeros((4, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match="epoch 0"):
-                train(net, x, y, TrainConfig(epochs=50))
+                train(net, x, y, TrainConfig(epochs=50), seed=0)
 
     def test_row_mismatch_rejected(self):
         net = init_network(NetworkSpec((LayerSpec(2, 1),)), seed=0)
         with pytest.raises(ValueError, match="rows"):
-            train(net, np.zeros((3, 2)), np.zeros((4, 1)), TrainConfig(epochs=1))
+            train(net, np.zeros((3, 2)), np.zeros((4, 1)), TrainConfig(epochs=1), seed=0)
 
     def test_empty_or_non_finite_data_rejected_at_entry(self):
         # bad data is not divergence: it fails before any step, warning-free
@@ -481,5 +489,5 @@ class TestTrain:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="finite"):
-                    train(net, inputs, targets, TrainConfig(epochs=1))
+                    train(net, inputs, targets, TrainConfig(epochs=1), seed=0)
         assert np.array_equal(net.theta, theta)

@@ -20,7 +20,7 @@ from deepmatch.propensity import (
 )
 from deepmatch.data import gen_propensity_pairs, train_test_split
 from deepmatch.metrics import threshold_labels
-from deepmatch.network import init_network
+from deepmatch.network import TrainConfig, init_network
 
 from oracles import irls_logistic
 
@@ -205,7 +205,7 @@ class TestFitLogistic:
         # 219-265 likelihood evaluations on these folds.
         for seed in (1001, 1002, 1003):
             ds = gen_propensity_pairs(5000, 0.02, seed=seed)
-            model, _ = fit("logistic", ds.x, ds.w, PropensityFitConfig(seed=seed))
+            model, _ = fit("logistic", ds.x, ds.w, seed=seed)
             assert 1 <= model.iterations <= 10
             assert model.grad_norm < PropensityFitConfig().grad_tol
 
@@ -253,8 +253,12 @@ class TestFitLogistic:
         ],
     )
     def test_fit_config_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError, match=next(iter(bad))):
-            PropensityFitConfig(**bad)
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=name):
+            if name in ("epochs", "batch_size"):  # the net's schedule
+                PropensityFitConfig(net=TrainConfig(**{"epochs": 2, name: value}))
+            else:
+                PropensityFitConfig(**bad)
 
     def test_labels_validated(self):
         x = np.random.default_rng(7).normal(size=(10, 2))
@@ -281,7 +285,8 @@ class TestPredict:
 
     def test_scores_in_unit_interval(self):
         x, w = logistic_sample(300, (0.0, 3.0, -2.0), 10)
-        net_model = fit_propensity_net(x, w, PropensityFitConfig(epochs=20, batch_size=32, seed=0))
+        cfg = PropensityFitConfig(net=TrainConfig(epochs=20, batch_size=32))
+        net_model = fit_propensity_net(x, w, cfg, seed=0)
         scores = net_model.predict(x * 10)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
@@ -299,45 +304,45 @@ class TestPredict:
 class TestFitProtocol:
     def test_holdout_split_recorded(self):
         x, w = logistic_sample(200, (0.2, 1.0), 11)
-        _, test_idx = fit("logistic", x, w, PropensityFitConfig(seed=4))
+        _, test_idx = fit("logistic", x, w, seed=4)
         assert np.array_equal(test_idx, train_test_split(200, 0.2, 4)[1])
         assert len(test_idx) == 40
         assert np.array_equal(test_idx, np.unique(test_idx))
-        cfg = PropensityFitConfig(seed=4, epochs=2, batch_size=32)
-        _, net_test_idx = fit("propensity_net", x, w, cfg)
+        cfg = PropensityFitConfig(net=TrainConfig(epochs=2, batch_size=32))
+        _, net_test_idx = fit("propensity_net", x, w, cfg, seed=4)
         assert np.array_equal(test_idx, net_test_idx)
 
     def test_training_fold_losing_a_class_rejected(self):
         # one treated unit, placed in the seeded test fold: both classes are
         # present overall, but the training fold holds controls only
         x = np.random.default_rng(21).normal(size=(10, 2))
-        cfg = PropensityFitConfig(seed=3)
-        _, test_idx = train_test_split(10, cfg.test_fraction, cfg.seed)
+        cfg = PropensityFitConfig()
+        _, test_idx = train_test_split(10, cfg.test_fraction, 3)
         w = np.zeros(10, dtype=int)
         w[test_idx[0]] = 1
         for kind in ("logistic", "propensity_net"):
             with pytest.raises(ValueError, match="treatment class"):
-                fit(kind, x, w, cfg)
+                fit(kind, x, w, cfg, seed=3)
 
     @pytest.mark.parametrize("kind", ["logistic", "propensity_net"])
     def test_schedule_rejected_before_either_kind_fits(self, kind):
-        # the logistic fit ignores the schedule, yet a zero one is still refused
+        # the logistic fit ignores the schedule, yet a zero one cannot even be built
         x, w = logistic_sample(50, (0.0, 1.0), 13)
         for bad in ({"epochs": 0}, {"batch_size": 0}):
             with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must be >= 1"):
-                fit(kind, x, w, PropensityFitConfig(**bad))
+                fit(kind, x, w, PropensityFitConfig(net=TrainConfig(**{"epochs": 2, **bad})), seed=0)
 
     def test_same_seed_same_scores(self):
         x, w = logistic_sample(150, (0.0, 1.0, 1.0), 12)
-        cfg = PropensityFitConfig(seed=9, epochs=5, batch_size=32)
-        a = fit("propensity_net", x, w, cfg)[0].predict(x)
-        b = fit("propensity_net", x, w, cfg)[0].predict(x)
+        cfg = PropensityFitConfig(net=TrainConfig(epochs=5, batch_size=32))
+        a = fit("propensity_net", x, w, cfg, seed=9)[0].predict(x)
+        b = fit("propensity_net", x, w, cfg, seed=9)[0].predict(x)
         assert np.array_equal(a, b)
 
     def test_unknown_kind_rejected(self):
         x, w = logistic_sample(50, (0.0, 1.0), 13)
         with pytest.raises(ValueError, match="unknown model kind"):
-            fit("forest", x, w)
+            fit("forest", x, w, seed=0)
 
     def test_separable_toy_training_accuracy(self):
         rng = np.random.default_rng(14)
@@ -348,13 +353,14 @@ class TestFitProtocol:
             ]
         )
         w = np.array([0] * 100 + [1] * 100)
-        model = fit_propensity_net(x, w, PropensityFitConfig(epochs=100, batch_size=32, seed=0))
+        cfg = PropensityFitConfig(net=TrainConfig(epochs=100, batch_size=32))
+        model = fit_propensity_net(x, w, cfg, seed=0)
         accuracy = np.mean((model.predict(x) >= 0.5).astype(int) == w)
         assert accuracy > 0.95
 
     def test_holdout_accuracy_range(self):
         x, w = logistic_sample(200, (0.0, 2.5), 15)
-        model, test_idx = fit("logistic", x, w, PropensityFitConfig(seed=1))
+        model, test_idx = fit("logistic", x, w, seed=1)
         acc = np.mean(threshold_labels(model.predict(x[test_idx])) == w[test_idx])
         assert 0.5 < acc <= 1.0
 

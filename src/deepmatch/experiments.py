@@ -1,12 +1,14 @@
 """Reproducible experiment pipelines: config parsing, runs, and report files.
 
-Each run_* function takes a parsed config and an output directory, executes
-the pipeline stage by stage, and writes reports.json, comparison.csv, the
-plot-data CSVs, and a fully resolved copy of its config. Configs are strict
-JSON, read through one field table per experiment: unknown keys, wrong
-types, non-finite numbers and out-of-bound values are rejected with the path
-of the offending value, so a typo cannot silently fall back to a default,
-and the resolved file parses back to the identical config.
+Each run_* function takes a run record and an output directory, executes
+the pipeline stage by stage, and only then, in one last `write` stage,
+writes reports.json, comparison.csv, the plot-data CSVs, and a fully
+resolved copy of its config; a failed stage writes nothing. Configs are
+strict JSON, read through one field table per experiment: unknown keys,
+wrong types, non-finite numbers and out-of-bound values are rejected with
+the path of the offending value, so a typo cannot silently fall back to a
+default, and the resolved file parses back to the identical config. A run
+record built in Python is held to the same bounds when it is built.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -33,11 +35,13 @@ from .gradcheck import default_grid, run_case
 from .matching import estimate_effects, estimate_effects_pooled, propensity_match
 from .metrics import (
     REFERENCE_MISASSIGNMENT,
+    EffectReport,
     ite_error,
     misassignment_report,
     threshold_labels,
 )
 from .network import TrainConfig
+from .propensity import MODEL_KINDS as PROPENSITY_METHODS
 from .propensity import PropensityFitConfig
 from .propensity import fit as fit_propensity
 
@@ -52,7 +56,6 @@ TRAIN_SEED_OFFSET = 2000
 
 SWISSROLL_METHODS = ("raw_knn", "pca", "lle", "autoencoder")
 SWISSROLL_COVARIATES = 3  # the columns gen_swiss_roll draws: a point on the roll
-PROPENSITY_METHODS = ("logistic", "propensity_net")
 
 # Column labels of the misassignment comparison table, kept verbatim.
 PROPENSITY_TABLE_COLUMNS = (
@@ -142,16 +145,24 @@ class Field(NamedTuple):
     """One settable config value.
 
     `path` is its place in the document, "key" or "section.key"; `kind` is
-    its JSON type (see `_value`). `bound` checks the typed value; it is
-    given only where no domain dataclass checks it. `attr` is the run
-    attribute the value sets (default: the path); "a.b" sets field b of
-    the nested domain dataclass a, whose own checks then apply.
+    its JSON type (see `_value`). `bound` checks the typed value; the run
+    dataclass applies it whenever a record is built, parsed or not, and it
+    is given only where no nested domain dataclass checks the value. `attr`
+    is the run attribute the value sets (default: the path); "a.b" sets
+    field b of the nested domain dataclass a, whose own checks then apply.
     """
 
     path: str
     kind: object
     bound: Callable | None = None
     attr: str = ""
+
+
+def _check_bounds(run, table) -> None:
+    """Apply each bounded field of `table` to its value in the run record."""
+    for f in table:
+        if f.bound is not None:
+            f.bound(attrgetter(f.attr or f.path)(run), f"config.{f.path}")
 
 
 def _set(obj, attr: str, value):
@@ -209,10 +220,10 @@ class Experiment:
                 continue
             where = f"config.{f.path}"
             value = _value(f.kind, flat[f.path], where)
-            if f.bound is not None:
-                f.bound(value, where)
             try:
                 cfg = _set(cfg, f.attr or f.path, value)
+            except ConfigError:
+                raise
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         return cfg
@@ -241,6 +252,9 @@ class SwissRollRun:
     ae_hidden: tuple = ()
     lle_neighbors: int = 10
     lle_reg: float = 1e-3
+
+    def __post_init__(self):
+        _check_bounds(self, SWISSROLL_FIELDS)
 
 
 SWISSROLL_FIELDS = (
@@ -277,6 +291,9 @@ class PropensityRun:
     threshold: float = 0.5
     fit: PropensityFitConfig = PropensityFitConfig()
 
+    def __post_init__(self):
+        _check_bounds(self, PROPENSITY_FIELDS)
+
 
 PROPENSITY_FIELDS = (
     Field("seed", int, _at_least(0)),
@@ -303,6 +320,9 @@ class GradcheckRun:
     step: float = 1e-5
     tolerance: float = 1e-4
     corrupt: bool = False
+
+    def __post_init__(self):
+        _check_bounds(self, GRADCHECK_FIELDS)
 
 
 GRADCHECK_FIELDS = (
@@ -331,17 +351,27 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
     lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_results(out: Path, name: str, cfg, reports: dict, header, rows) -> None:
-    """The files every experiment writes: reports.json (`reports` plus the
-    experiment name and seed), comparison.csv and resolved_config.json."""
+# The per-method files of every experiment: a forced rerun removes those it did not write.
+_METHOD_FILES = {f"embedding_{m}.csv" for m in SWISSROLL_METHODS} | {
+    f"matched_pairs_{m}.csv" for m in PROPENSITY_METHODS}
+
+
+def _publish(out: Path, name: str, cfg, reports: dict, tables: dict) -> None:
+    """Write a finished run: each of `tables`, file name to (header, columns),
+    as a CSV, reports.json (`reports` plus the experiment name and seed) and
+    resolved_config.json; then remove the `_METHOD_FILES` it did not write."""
+    for file_name, (header, columns) in tables.items():
+        _write_csv(out / file_name, header, columns)
     _write_json(out / "reports.json", {"experiment": name, "seed": cfg.seed, **reports})
-    _write_csv(out / "comparison.csv", header, rows)
     _write_json(out / "resolved_config.json", EXPERIMENTS[name].resolve(cfg))
+    for file_name in _METHOD_FILES - tables.keys():
+        (out / file_name).unlink(missing_ok=True)
 
 
 def _fit_embedder(method: str, x_train: np.ndarray, cfg: SwissRollRun):
@@ -358,7 +388,9 @@ def _fit_embedder(method: str, x_train: np.ndarray, cfg: SwissRollRun):
 
 
 def _check_dimensions(cfg: SwissRollRun) -> None:
-    """Bounds between values that fail a fit on any draw; data-dependent ones stay stage errors."""
+    """Bounds between values that fail a fit on any draw, checked before the output
+    directory is made, not when a record is built: `parse` sets one value at a time.
+    Data-dependent bounds stay stage errors, which write nothing."""
     d = SWISSROLL_COVARIATES
     for method, limit in (("pca", d), ("lle", d - 1), ("autoencoder", d - 1)):
         if method in cfg.methods and cfg.embed_dim > limit:
@@ -396,6 +428,7 @@ def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
             split_label = np.where(test_mask, "test", "train")
 
     reports = []
+    tables = {}
     for method in cfg.methods:
         with _stage(f"fit:{method}"):
             embedder = _fit_embedder(method, ds.x[train_idx], cfg)
@@ -416,27 +449,16 @@ def run_swissroll(cfg: SwissRollRun, out_dir, force: bool = False) -> list:
                 )
         with _stage(f"report:{method}"):
             reports.append(ite_error(est, ds.truth, test_mask, method=method, seed=cfg.seed))
-        with _stage(f"write:{method}"):
-            header = ["index", "split", "group", "w"] + [f"z{j+1}" for j in range(z.shape[1])]
-            columns = (np.arange(ds.n_units), split_label, ds.truth.group, ds.w, *z.T)
-            _write_csv(
-                out / f"embedding_{method}.csv", header, zip(*(c.tolist() for c in columns))
-            )
+        tables[f"embedding_{method}.csv"] = (
+            ["index", "split", "group", "w"] + [f"z{j+1}" for j in range(z.shape[1])],
+            (np.arange(ds.n_units), split_label, ds.truth.group, ds.w, *z.T),
+        )
 
     with _stage("write"):
-        _write_results(
-            out,
-            "swissroll",
-            cfg,
-            {
-                "reports": [asdict(r) for r in reports],
-            },
-            ["method", "mean_abs_ite_error", "ate_error", "n_test", "seed"],
-            [
-                [r.method, r.mean_abs_ite_error, r.ate_error, r.n_test, r.seed]
-                for r in reports
-            ],
-        )
+        rows = [asdict(r) for r in reports]
+        keys = [f.name for f in fields(EffectReport)]
+        tables["comparison.csv"] = (keys, [[r[k] for r in rows] for k in keys])
+        _publish(out, "swissroll", cfg, {"reports": rows}, tables)
     return reports
 
 
@@ -452,6 +474,7 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
             features = ds.x
 
     reports = []
+    tables = {}
     for method in cfg.methods:
         with _stage(f"fit:{method}"):
             model, test_idx = fit_propensity(method, features, ds.w, cfg.fit, seed=cfg.seed)
@@ -471,46 +494,23 @@ def run_propensity(cfg: PropensityRun, out_dir, force: bool = False) -> list:
                     seed=cfg.seed,
                 )
             )
-        with _stage(f"write:{method}"):
-            columns = (
-                queries,
-                scores[queries],
-                ds.x[queries, 0],
-                ds.x[queries, 1],
-                ds.y_obs[queries],
-                matched,
-                scores[matched],
-                ds.truth.pair_index[queries],
-            )
-            _write_csv(
-                out / f"matched_pairs_{method}.csv",
-                ["query_index", "score", "x1", "x2", "y_obs", "matched_index", "matched_score", "pair_index"],
-                zip(*(c.tolist() for c in columns)),
-            )
+        tables[f"matched_pairs_{method}.csv"] = (
+            ["query_index", "score", "x1", "x2", "y_obs", "matched_index", "matched_score", "pair_index"],
+            (queries, scores[queries], ds.x[queries, 0], ds.x[queries, 1], ds.y_obs[queries],
+             matched, scores[matched], ds.truth.pair_index[queries]),
+        )
 
     with _stage("write"):
-        _write_results(
-            out,
-            "propensity",
-            cfg,
-            {
-                "reports": [asdict(r) for r in reports],
-                "reference": {
-                    name: dict(zip(PROPENSITY_TABLE_COLUMNS, values))
-                    for name, values in REFERENCE_MISASSIGNMENT.items()
-                },
-            },
-            ["method", *PROPENSITY_TABLE_COLUMNS],
-            [
-                [
-                    r.method,
-                    r.mean_abs_misassignment_error_pct,
-                    r.misassignment_rate_pct,
-                    r.accuracy_pct,
-                ]
-                for r in reports
-            ],
+        rows = [asdict(r) for r in reports]
+        keys = ("method", "mean_abs_misassignment_error_pct", "misassignment_rate_pct", "accuracy_pct")
+        tables["comparison.csv"] = (
+            ["method", *PROPENSITY_TABLE_COLUMNS], [[r[k] for r in rows] for k in keys]
         )
+        reference = {
+            name: dict(zip(PROPENSITY_TABLE_COLUMNS, values))
+            for name, values in REFERENCE_MISASSIGNMENT.items()
+        }
+        _publish(out, "propensity", cfg, {"reports": rows, "reference": reference}, tables)
     return reports
 
 
@@ -536,18 +536,10 @@ def run_gradcheck(cfg: GradcheckRun, out_dir, force: bool = False):
             )
     all_pass = all(r["pass"] for r in results)
     with _stage("write"):
-        _write_results(
-            out,
-            "gradcheck",
-            cfg,
-            {
-                "tolerance": cfg.tolerance,
-                "all_pass": all_pass,
-                "cases": results,
-            },
-            ["name", "max_relative_error", "pass"],
-            [[r["name"], r["max_relative_error"], r["pass"]] for r in results],
-        )
+        keys = ("name", "max_relative_error", "pass")
+        table = (keys, [[r[k] for r in results] for k in keys])
+        reports = {"tolerance": cfg.tolerance, "all_pass": all_pass, "cases": results}
+        _publish(out, "gradcheck", cfg, reports, {"comparison.csv": table})
     return results, all_pass
 
 

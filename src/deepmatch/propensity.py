@@ -28,6 +28,7 @@ from .network import (
 PROPENSITY_WIDTHS = (10, 10, 10, 10, 2)
 PROPENSITY_DROPOUT = 0.3
 SCORE_CLAMP = 1e-12
+MODEL_KINDS = ("logistic", "propensity_net")
 
 
 def log_odds(scores: np.ndarray) -> np.ndarray:
@@ -247,7 +248,7 @@ def fit(
     """
     x = _check_features(x)
     labels = _check_labels(w, x.shape[0])
-    if model_kind not in ("logistic", "propensity_net"):
+    if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     train_idx, test_idx = train_test_split(x.shape[0], cfg.test_fraction, seed)
     if model_kind == "logistic":

@@ -4,7 +4,9 @@ Each function here re-derives a quantity the library computes, by a different
 algorithm (closed forms, exhaustive scans, Newton iterations), so that test
 agreement means two unrelated code paths concur. One helper is not an
 oracle: `adadelta_delta` reads the library's in-place adadelta step as a
-function, so that tests can hold it against the formulas.
+function, so that tests can hold it against the formulas. And
+`swiss_roll_charts` is a reference embedding rather than a re-derivation: the
+exact 2-D charts of the swiss roll, which no library embedder computes.
 """
 
 import math
@@ -108,6 +110,23 @@ def silhouette_scan(z, labels):
         b = min(d[labels == lab].mean() for lab in uniq if lab != labels[i])
         vals.append((b - a) / max(a, b))
     return float(np.mean(vals))
+
+
+def swiss_roll_charts(n, seed):
+    """Exact 2-D charts of the units `gen_swiss_roll` draws at size n and `seed`.
+
+    Redraws the generator's first two draws, u then v, and places each unit
+    on the sheet at t = (3*pi/2)(1 + 2u), h = 11v, before positional noise.
+    Returns (isometric, parametric). The isometric chart is (arc length of
+    the spiral (t cos t, t sin t) from t = 0, h), which keeps distances
+    along the sheet; that arc length is (t*sqrt(1 + t^2) + asinh t) / 2.
+    The parametric chart (t, h) stretches the outer turns against the inner.
+    """
+    rng = np.random.default_rng(seed)
+    t = 1.5 * math.pi * (1.0 + 2.0 * rng.random(n))
+    h = 11.0 * rng.random(n)
+    arc = (t * np.sqrt(1.0 + t * t) + np.arcsinh(t)) / 2.0
+    return np.column_stack((arc, h)), np.column_stack((t, h))
 
 
 # Allocating network passes: `@` products, fresh arrays at every step,

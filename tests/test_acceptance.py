@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from deepmatch.cli import main
+from deepmatch.data import gen_swiss_roll, train_test_split
 from deepmatch.embedding import fit_lle, fit_pca, lle_weight_matrix
 from deepmatch.experiments import (
     PROPENSITY_METHODS,
+    SPLIT_SEED_OFFSET,
     SWISSROLL_METHODS,
     parse_propensity,
     parse_swissroll,
@@ -23,8 +25,8 @@ from deepmatch.experiments import (
     run_swissroll,
 )
 from deepmatch.gradcheck import default_grid, run_case
-from deepmatch.matching import estimate_effects, nearest_opposite
-from deepmatch.metrics import silhouette
+from deepmatch.matching import estimate_effects, estimate_effects_pooled, nearest_opposite
+from deepmatch.metrics import ite_error, silhouette
 from deepmatch.propensity import build_propensity_net
 
 from oracles import (
@@ -34,6 +36,7 @@ from oracles import (
     knn_scan,
     lle_dense_eigh,
     lle_dense_weights,
+    swiss_roll_charts,
 )
 
 N_STUDY_SEEDS = 5
@@ -177,6 +180,33 @@ def test_autoencoder_matching_error_below_pca_and_raw(swissroll_study):
     detail = ", ".join(f"{m}={v:.4f}" for m, v in sorted(med.items()))
     assert med["autoencoder"] < med["pca"], f"median ITE errors: {detail}"
     assert med["autoencoder"] < med["raw_knn"], f"median ITE errors: {detail}"
+
+
+def test_isometric_chart_matches_better_than_raw_coordinates(swissroll_study):
+    # Why the check above fails: a 2-D code can beat raw matching, but only an
+    # isometric one that also undoes the positional noise. The exact charts of
+    # the study's own units, matched as the study matches, bracket raw_knn.
+    study = parse_swissroll({})
+    cfg = study.dataset
+    errors = {"isometric": [], "parametric": []}
+    for seed in range(N_STUDY_SEEDS):
+        ds = gen_swiss_roll(cfg, seed)
+        charts = swiss_roll_charts(cfg.n, seed)
+        t, h = charts[1].T
+        roll = np.column_stack((t * np.cos(t), h, t * np.sin(t)))
+        assert np.abs(ds.x - roll).max() < 10 * cfg.noise_sigma  # the redrawn units are the study's
+        train, test = train_test_split(ds.n_units, study.test_fraction, seed + SPLIT_SEED_OFFSET)
+        mask = np.zeros(ds.n_units, dtype=bool)
+        mask[test] = True
+        for name, z in zip(errors, charts, strict=True):
+            est = estimate_effects_pooled(
+                z[test], ds.w[test], ds.y_obs[test], z[train], ds.w[train], ds.y_obs[train],
+                k=study.k_matches,
+            )
+            errors[name].append(ite_error(est, ds.truth, mask).mean_abs_ite_error)
+    med = {name: float(np.median(v)) for name, v in errors.items()}
+    med["raw_knn"] = float(np.median(swissroll_study["ite"]["raw_knn"]))
+    assert med["isometric"] < med["raw_knn"] < med["parametric"], f"median ITE errors: {med}"
 
 
 def test_dense_classifier_ordering_on_jittered_pairs(propensity_study):

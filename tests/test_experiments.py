@@ -277,11 +277,26 @@ class TestRunSwissroll:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_stage_error_names_failing_stage(self, tmp_path):
-        cfg = parse_swissroll(
-            {"dataset": {"n": 100}, "methods": ["lle"], "lle": {"k_neighbors": 200}}
-        )
-        with pytest.raises(StageError, match="fit:lle"):
-            run_swissroll(cfg, tmp_path / "out")
+        docs = [
+            {"dataset": {"n": 100}, "methods": ["lle"], "lle": {"k_neighbors": 200}},
+            # raw_knn and pca finish before fit:lle fails; their files are not written
+            {"dataset": {"n": 12}, "lle": {"k_neighbors": 10}},
+        ]
+        for i, doc in enumerate(docs):
+            out = tmp_path / f"out{i}"
+            with pytest.raises(StageError, match="fit:lle"):
+                run_swissroll(parse_swissroll(doc), out)
+            assert list(out.iterdir()) == []
+
+    def test_forced_rerun_removes_stale_method_files(self, tmp_path):
+        out = tmp_path / "out"
+        run_swissroll(parse_swissroll({"dataset": {"n": 100}, "methods": ["raw_knn", "pca"]}), out)
+        (out / "my_config.json").write_text("{}")  # a file of the user's own is kept
+        run_swissroll(parse_swissroll({"dataset": {"n": 100}, "methods": ["raw_knn"]}), out, force=True)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "comparison.csv", "embedding_raw_knn.csv", "my_config.json", "reports.json",
+            "resolved_config.json",
+        ]
 
     def test_refuses_non_empty_out_dir(self, tmp_path):
         (tmp_path / "stale.txt").write_text("x")
@@ -365,9 +380,17 @@ class TestRunPropensity:
         ).read_bytes()
 
     def test_stage_error_names_failing_stage(self, tmp_path):
-        doc = dict(PS_SMALL, logistic={"max_iter": 1})
-        with pytest.raises(StageError, match="fit:logistic"):
-            run_propensity(parse_propensity(doc), tmp_path / "out")
+        docs = [
+            dict(PS_SMALL, logistic={"max_iter": 1}),
+            # propensity_net finishes before fit:logistic fails; its file is not written
+            {"dataset": {"n_pairs": 200}, "methods": ["propensity_net", "logistic"],
+             "logistic": {"max_iter": 1}},
+        ]
+        for i, doc in enumerate(docs):
+            out = tmp_path / f"out{i}"
+            with pytest.raises(StageError, match="fit:logistic"):
+                run_propensity(parse_propensity(doc), out)
+            assert list(out.iterdir()) == []
 
 
 class TestRunGradcheck:
@@ -543,6 +566,50 @@ def test_run_built_in_python_round_trips(tmp_path, cfg):
     assert names == sorted(p.name for p in (tmp_path / "parsed").iterdir())
     for name in names:
         assert (tmp_path / "built" / name).read_bytes() == (tmp_path / "parsed" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, doc",
+    [("swissroll", SR_SMALL), ("propensity", PS_SMALL), ("gradcheck", {"count": 2})],
+    ids=["swissroll", "propensity", "gradcheck"],
+)
+def test_write_is_the_one_last_stage(tmp_path, monkeypatch, name, doc):
+    # every stage but the last runs before any file exists
+    out = tmp_path / "out"
+    stages = []
+    stage = experiments._stage
+
+    def recording_stage(stage_name):
+        stages.append((stage_name, any(out.iterdir())))
+        return stage(stage_name)
+
+    monkeypatch.setattr(experiments, "_stage", recording_stage)
+    experiment = EXPERIMENTS[name]
+    experiment.run(experiment.parse(doc), out)
+    names = [stage_name for stage_name, _ in stages]
+    assert names[-1] == "write" and names.count("write") == 1
+    assert not [n for n in names if n.startswith("write:")]
+    assert not any(wrote for _, wrote in stages)
+    assert (out / "reports.json").exists()
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: SwissRollRun(methods=()), "config.methods must be a non-empty list"),
+        (lambda: SwissRollRun(methods=("pca", "pca")), "config.methods: duplicate methods"),
+        (lambda: PropensityRun(threshold=5.0), "config.threshold must be in (0, 1)"),
+        (lambda: GradcheckRun(tolerance=-1.0), "config.tolerance must be > 0"),
+        (lambda: GradcheckRun(tolerance=float("nan")), "config.tolerance must be > 0"),
+        (lambda: GradcheckRun(step=0.0), "config.step must be > 0"),
+    ],
+    ids=["no-methods", "repeated-method", "threshold", "negative-tolerance", "nan-tolerance",
+         "zero-step"],
+)
+def test_run_record_checks_its_bounds_when_built(build, key):
+    # a record built in Python is held to the bounds a parsed config is
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        build()
 
 
 def test_readme_config_blocks_are_the_defaults():

@@ -9,6 +9,11 @@ A dataset is the usual observational triple (covariates, binary treatment,
 observed outcome); simulated runs also carry the ground truth needed to
 score estimators: both potential outcomes, the exact unit-level effect,
 band labels, and for the paired design the twin indices.
+
+The library's two input rules live here too, and every public entry point
+that takes covariates or labels applies them where the input enters:
+`finite_matrix` (2-D, finite, a given column count where one is expected)
+and `treatment` (n labels of 0 or 1, and both arms where they are needed).
 """
 
 from __future__ import annotations
@@ -20,6 +25,32 @@ import numpy as np
 
 THREE_HALVES_PI = 3.0 * math.pi / 2.0
 N_GROUPS = 6
+
+
+def finite_matrix(x, what: str, columns: int | None = None) -> np.ndarray:
+    """`x` as a 2-D float array of finite values, with `columns` columns if given."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or columns not in (None, x.shape[1]):
+        want = "n x d" if columns is None else f"n x {columns}"
+        raise ValueError(f"{what} must be an {want} matrix, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite (found NaN or inf)")
+    return x
+
+
+def treatment(w, n: int, both_arms: bool = True) -> np.ndarray:
+    """`w` as an int vector of n labels, each 0 or 1; with `both_arms`, both present."""
+    w = np.asarray(w)
+    if w.shape != (n,):
+        raise ValueError(f"length mismatch: treatment w has shape {w.shape}, expected ({n},)")
+    if not np.isin(w, (0, 1)).all():
+        raise ValueError("treatment indicator must be 0 or 1")
+    w = w.astype(int)
+    if both_arms:
+        for arm, name in ((1, "treated"), (0, "control")):
+            if not (w == arm).any():
+                raise ValueError(f"{name} arm is empty: both treatment classes must be present")
+    return w
 
 
 @dataclass(frozen=True)
@@ -48,22 +79,16 @@ class ObservationalDataset:
     truth: GroundTruth | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        w = np.asarray(self.w)
-        y = np.asarray(self.y_obs, dtype=float)
-        if x.ndim != 2:
-            raise ValueError(f"x must be 2-D, got shape {x.shape}")
+        x = finite_matrix(self.x, "covariates x")
         n = x.shape[0]
-        if w.shape != (n,) or y.shape != (n,):
-            raise ValueError(
-                f"length mismatch: x has {n} rows, w {w.shape}, y_obs {y.shape}"
-            )
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise ValueError("covariates and outcomes must be finite")
-        if not np.isin(w, (0, 1)).all():
-            raise ValueError("treatment indicator must be 0 or 1")
+        w = treatment(self.w, n, both_arms=False)
+        y = np.asarray(self.y_obs, dtype=float)
+        if y.shape != (n,):
+            raise ValueError(f"length mismatch: x has {n} rows, y_obs {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("outcomes y_obs must be finite")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", w.astype(int))
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "y_obs", y)
         if self.truth is not None:
             self._check_truth(n)

@@ -22,6 +22,7 @@ import numpy as np
 # PCA's and LLE's one eigensolver; the benchmark tracer wraps it by this name
 from numpy.linalg import eigh as symmetric_eigh
 
+from .data import finite_matrix
 from .matching import knn
 from .network import (
     LayerSpec,
@@ -44,13 +45,9 @@ def _column_stats(x: np.ndarray):
 
 
 def _check_fit_input(x: np.ndarray, m: int, require_reduction: bool = True) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected an n x d matrix, got shape {x.shape}")
+    x = finite_matrix(x, "fit data")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("fit data must be finite")
     if m < 1:
         raise ValueError(f"target dimension must be >= 1, got {m}")
     if require_reduction and m >= x.shape[1]:
@@ -68,13 +65,7 @@ class Embedder:
     input_dim: int = 0
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(
-                f"{self.kind} embedder expects {self.input_dim} columns, got shape {x.shape}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{self.kind} embedder input must be finite")
+        x = finite_matrix(x, f"{self.kind} embedder input", self.input_dim)
         z = self._map(x)
         assert z.shape == (x.shape[0], self.m)
         return z

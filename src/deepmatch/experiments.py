@@ -8,7 +8,7 @@ strict JSON, read through one field table per experiment: unknown keys,
 wrong types, non-finite numbers and out-of-bound values are rejected with
 the path of the offending value, so a typo cannot silently fall back to a
 default, and the resolved file parses back to the identical config. A run
-record built in Python is held to the same bounds when it is built.
+record built in Python is held to the same kinds and bounds when it is built.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .metrics import (
     threshold_labels,
 )
 from .network import TrainConfig
-from .propensity import MODEL_KINDS as PROPENSITY_METHODS
-from .propensity import PropensityFitConfig
+from .propensity import MODEL_KINDS, PropensityFitConfig
 from .propensity import fit as fit_propensity
 
 CONFIG_VERSION = 1
@@ -145,9 +144,9 @@ class Field(NamedTuple):
     """One settable config value.
 
     `path` is its place in the document, "key" or "section.key"; `kind` is
-    its JSON type (see `_value`). `bound` checks the typed value; the run
-    dataclass applies it whenever a record is built, parsed or not, and it
-    is given only where no nested domain dataclass checks the value. `attr`
+    its JSON type (see `_value`). `bound` checks the typed value, and is
+    given only where no nested domain dataclass checks the value. The run
+    dataclass applies both whenever a record is built, parsed or not. `attr`
     is the run attribute the value sets (default: the path); "a.b" sets
     field b of the nested domain dataclass a, whose own checks then apply.
     """
@@ -159,10 +158,24 @@ class Field(NamedTuple):
 
 
 def _check_bounds(run, table) -> None:
-    """Apply each bounded field of `table` to its value in the run record."""
+    """Hold each field of `table` in the run record to its kind, as `parse` does, and bound.
+
+    A tuple is read as the JSON list it resolves to; a list would not parse
+    back equal, so it is refused. A NaN gets its bound's message.
+    """
     for f in table:
+        where = f"config.{f.path}"
+        value = attrgetter(f.attr or f.path)(run)
+        if isinstance(value, list):
+            raise ConfigError(f"{where} must be a tuple, got {value!r}")
+        try:
+            _value(f.kind, list(value) if isinstance(value, tuple) else value, where)
+        except ConfigError:
+            if f.bound is not None and isinstance(value, float):
+                f.bound(value, where)
+            raise
         if f.bound is not None:
-            f.bound(attrgetter(f.attr or f.path)(run), f"config.{f.path}")
+            f.bound(value, where)
 
 
 def _set(obj, attr: str, value):
@@ -285,7 +298,7 @@ class PropensityRun:
     seed: int = 0
     n_pairs: int = 1000
     jitter_sigma: float = 0.02
-    methods: tuple = PROPENSITY_METHODS
+    methods: tuple = MODEL_KINDS
     include_outcome: bool = False
     query_arm: int = 1
     threshold: float = 0.5
@@ -299,7 +312,7 @@ PROPENSITY_FIELDS = (
     Field("seed", int, _at_least(0)),
     Field("dataset.n_pairs", int, _at_least(2), "n_pairs"),
     Field("dataset.jitter_sigma", float, _POSITIVE, "jitter_sigma"),
-    Field("methods", [str], _methods(PROPENSITY_METHODS)),
+    Field("methods", [str], _methods(MODEL_KINDS)),
     # Bounded by PropensityFitConfig and its TrainConfig, as are net.* and logistic.*.
     Field("test_fraction", float, attr="fit.test_fraction"),
     Field("include_outcome", bool),
@@ -359,7 +372,7 @@ def _write_csv(path: Path, header, columns) -> None:
 
 # The per-method files of every experiment: a forced rerun removes those it did not write.
 _METHOD_FILES = {f"embedding_{m}.csv" for m in SWISSROLL_METHODS} | {
-    f"matched_pairs_{m}.csv" for m in PROPENSITY_METHODS}
+    f"matched_pairs_{m}.csv" for m in MODEL_KINDS}
 
 
 def _publish(out: Path, name: str, cfg, reports: dict, tables: dict) -> None:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import finite_matrix, treatment
+
 
 @dataclass(frozen=True)
 class EffectEstimate:
@@ -43,16 +45,6 @@ class EffectEstimate:
     @property
     def ate(self) -> float:
         return float(np.mean(self.ite))
-
-
-def _check_arms(w: np.ndarray) -> None:
-    if not np.isin(w, (0, 1)).all():
-        raise ValueError("treatment indicator must be 0 or 1")
-    n1 = int(np.sum(w == 1))
-    if n1 == 0:
-        raise ValueError("treated arm is empty: nothing to match against")
-    if n1 == w.shape[0]:
-        raise ValueError("control arm is empty: nothing to match against")
 
 
 # distances one scan block may hold at once; bounds the kernel's scratch memory
@@ -131,12 +123,8 @@ def knn(queries: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     order, holds the same ties. A scan block holds at most _BLOCK_ENTRIES
     distances, or one query.
     """
-    queries = np.asarray(queries, dtype=float)
-    pool = np.asarray(pool, dtype=float)
-    if queries.ndim != 2 or pool.ndim != 2 or queries.shape[1] != pool.shape[1]:
-        raise ValueError("queries and pool must be 2-D with a shared column count")
-    if not (np.all(np.isfinite(queries)) and np.all(np.isfinite(pool))):
-        raise ValueError("matching input must be finite (found NaN or inf)")
+    queries = finite_matrix(queries, "queries")
+    pool = finite_matrix(pool, "pool", queries.shape[1])
     n_pool = pool.shape[0]
     if not 1 <= k <= n_pool:
         raise ValueError(f"k must be in [1, {n_pool}] (pool size), got {k}")
@@ -184,8 +172,7 @@ def nearest_opposite(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, distances) of unit i's k nearest opposite-arm units in z, nearest first."""
     z = np.asarray(z, dtype=float)
-    w = np.asarray(w)
-    _check_arms(w)
+    w = treatment(w, z.shape[0])
     opp = np.flatnonzero(w != w[i])
     idx, d = knn(z[i : i + 1], z[opp], k)
     return opp[idx[0]], d[0]
@@ -195,7 +182,8 @@ def estimate_effects(
     z: np.ndarray, w: np.ndarray, y_obs: np.ndarray, k: int = 1
 ) -> EffectEstimate:
     """Effect estimates matching every unit within one dataset."""
-    _check_arms(np.asarray(w))
+    z = finite_matrix(z, "representations z")
+    treatment(w, z.shape[0])
     return estimate_effects_pooled(z, w, y_obs, z, w, y_obs, k)
 
 
@@ -222,8 +210,8 @@ def estimate_effects_pooled(
         raise ValueError("w and y must have one entry per row of z, for queries and pool alike")
     if not (np.isfinite(y_query).all() and np.isfinite(y_pool).all()):
         raise ValueError("outcomes y must be finite, for queries and pool alike")
-    if not (np.isin(w_query, (0, 1)).all() and np.isin(w_pool, (0, 1)).all()):
-        raise ValueError("treatment indicator must be 0 or 1")
+    w_query = treatment(w_query, z_query.shape[0], both_arms=False)
+    w_pool = treatment(w_pool, z_pool.shape[0], both_arms=False)
     # every row is filled below; EffectEstimate rejects a NaN left behind
     ite = np.full(z_query.shape[0], np.nan)
     for arm, side in ((1, "control"), (0, "treated")):
@@ -263,7 +251,7 @@ def propensity_match(scores, w, query_arm: int = 1) -> tuple[np.ndarray, np.ndar
         raise ValueError("scores and w must be equal-length vectors")
     if query_arm not in (0, 1):
         raise ValueError(f"query_arm must be 0 or 1, got {query_arm}")
-    _check_arms(w)
+    w = treatment(w, scores.shape[0])
     queries = np.flatnonzero(w == query_arm)
     cand = np.flatnonzero(w != query_arm)
     idx, _ = knn(scores[queries, None], scores[cand, None], 1)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroundTruth
-from .matching import EffectEstimate
+from .data import GroundTruth, finite_matrix
+from .matching import EffectEstimate, _distances
 
 # Previously reported results for the jittered-pairs benchmark, as
 # (mean abs misassignment error %, misassignment rate %, accuracy %).
@@ -142,20 +142,19 @@ def threshold_labels(scores: np.ndarray, threshold: float = ACCURACY_THRESHOLD) 
 def silhouette(z: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette coefficient with Euclidean distance.
 
-    Points in singleton clusters contribute 0, the usual convention.
+    Points in singleton clusters contribute 0, the usual convention. Distances
+    are matching's kernel distances, each summed coordinate by coordinate
+    from differences, so translating z does not cancel them away.
     """
-    z = np.asarray(z, dtype=float)
+    z = finite_matrix(z, "embedding z")
     labels = np.asarray(labels)
-    if z.ndim != 2 or z.shape[0] != labels.shape[0]:
+    if z.shape[0] != labels.shape[0]:
         raise ValueError("z must be n x m with one label per row")
     uniq = np.unique(labels)
     if uniq.shape[0] < 2:
         raise ValueError("silhouette needs at least two distinct labels")
     n = z.shape[0]
-    sq = np.sum(z * z, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
+    dist = _distances(z[:, None, :], z[None, :, :])
 
     sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
     counts = np.array([(labels == c).sum() for c in uniq])

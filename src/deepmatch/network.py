@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import finite_matrix
+
 
 def _softmax(z: np.ndarray) -> None:
     np.subtract(z, z.max(axis=1, keepdims=True), out=z)
@@ -406,12 +408,12 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     losses would be. The gradient uses the same residual, so both come from
     one subtraction, and the history and `theta` keep their bits.
     """
-    x = np.asarray(inputs, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    x = finite_matrix(inputs, "training inputs")
+    y = finite_matrix(targets, "training targets")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"inputs ({x.shape[0]} rows) vs targets ({y.shape[0]} rows)")
-    if x.shape[0] == 0 or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("training needs at least one row, and finite inputs and targets")
+    if x.shape[0] == 0:
+        raise ValueError("training needs at least one row of finite inputs and targets")
     n = x.shape[0]
     size = cfg.batch_size
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import train_test_split
+from .data import finite_matrix, train_test_split, treatment
 from .network import (
     LayerSpec,
     Network,
@@ -81,7 +81,7 @@ class LogisticModel:
         return self.coef.shape[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _check_features(x, self.input_dim)
+        x = finite_matrix(x, "features", self.input_dim)
         return sigmoid(self.intercept + x @ self.coef)
 
 
@@ -96,7 +96,7 @@ class PropensityNetModel:
         return self.network.spec.input_dim
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _check_features(x, self.input_dim)
+        x = finite_matrix(x, "features", self.input_dim)
         return self.network.predict(x)[:, 1]
 
 
@@ -126,17 +126,6 @@ class PropensityFitConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def _check_features(x, input_dim=None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected an n x d feature matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
-    if input_dim is not None and x.shape[1] != input_dim:
-        raise ValueError(f"model expects {input_dim} features, got {x.shape[1]}")
-    return x
-
-
 def _mean_nll_and_grad(design, labels, beta, ridge):
     """Mean negative log-likelihood, its gradient, and the fitted probabilities.
 
@@ -162,8 +151,8 @@ def fit_logistic(
     LogisticDidNotConverge, naming the final gradient norm, if cfg.max_iter
     iterations do not get there or the step stops moving the coefficients.
     """
-    x = _check_features(x)
-    labels = _check_labels(w, x.shape[0])
+    x = finite_matrix(x, "features")
+    labels = treatment(w, x.shape[0])
     design = np.column_stack([np.ones(x.shape[0]), x])
     ridge = np.full(design.shape[1], cfg.l2)
     ridge[0] = 0.0
@@ -206,23 +195,12 @@ def fit_logistic(
     )
 
 
-def _check_labels(w, n) -> np.ndarray:
-    w = np.asarray(w)
-    if w.shape != (n,):
-        raise ValueError(f"labels must have length {n}, got shape {w.shape}")
-    if not np.isin(w, (0, 1)).all():
-        raise ValueError("treatment labels must be 0 or 1")
-    if len(np.unique(w)) < 2:
-        raise ValueError("both treatment classes must be present")
-    return w.astype(float)
-
-
 def fit_propensity_net(
     x: np.ndarray, w: np.ndarray, cfg: PropensityFitConfig = PropensityFitConfig(), *, seed: int
 ) -> PropensityNetModel:
     """Train the dense softmax classifier on one-hot labels; `seed` draws init and training."""
-    x = _check_features(x)
-    labels = _check_labels(w, x.shape[0])
+    x = finite_matrix(x, "features")
+    labels = treatment(w, x.shape[0])
     targets = np.column_stack([1.0 - labels, labels])
     net = init_network(build_propensity_net(x.shape[1]), seed=seed)
     train(net, x, targets, cfg.net, seed)
@@ -246,8 +224,8 @@ def fit(
     split, and the fitter checks the training fold again; a fold left with
     one treatment class raises ValueError.
     """
-    x = _check_features(x)
-    labels = _check_labels(w, x.shape[0])
+    x = finite_matrix(x, "features")
+    labels = treatment(w, x.shape[0])
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     train_idx, test_idx = train_test_split(x.shape[0], cfg.test_fraction, seed)
@@ -294,8 +272,8 @@ def balance_report(x, w, scores, n_strata: int = 5) -> BalanceReport:
     """
     if n_strata < 1:
         raise ValueError(f"n_strata must be >= 1, got {n_strata}")
-    x = _check_features(x)
-    w = _check_labels(w, x.shape[0])
+    x = finite_matrix(x, "features")
+    w = treatment(w, x.shape[0])
     scores = np.asarray(scores, dtype=float)
     if scores.shape != w.shape:
         raise ValueError("x, w and scores must be row-aligned")

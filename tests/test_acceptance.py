@@ -16,7 +16,6 @@ from deepmatch.cli import main
 from deepmatch.data import gen_swiss_roll, train_test_split
 from deepmatch.embedding import fit_lle, fit_pca, lle_weight_matrix
 from deepmatch.experiments import (
-    PROPENSITY_METHODS,
     SPLIT_SEED_OFFSET,
     SWISSROLL_METHODS,
     parse_propensity,
@@ -27,6 +26,7 @@ from deepmatch.experiments import (
 from deepmatch.gradcheck import default_grid, run_case
 from deepmatch.matching import estimate_effects, estimate_effects_pooled, nearest_opposite
 from deepmatch.metrics import ite_error, silhouette
+from deepmatch.propensity import MODEL_KINDS as PROPENSITY_METHODS
 from deepmatch.propensity import build_propensity_net
 
 from oracles import (

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from deepmatch.experiments import (
     EXPERIMENTS,
-    PROPENSITY_METHODS,
     SWISSROLL_METHODS,
     ConfigError,
     parse_propensity,
     parse_swissroll,
 )
+from deepmatch.propensity import MODEL_KINDS as PROPENSITY_METHODS
 
 PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, database=None, deadline=None)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deepmatch import embedding, matching, network, propensity
 from deepmatch.data import (
     GroundTruth,
     ObservationalDataset,
@@ -244,3 +245,82 @@ class TestSplits:
         with pytest.raises(ValueError, match="test_fraction"):
             train_test_split(10, 1.0, seed=0)
 
+
+
+# One contract for every public entry point that takes covariates or labels:
+# each call below gets a covariate matrix x (n x 2) and a label vector w, next
+# to the bad inputs its contract covers. "columns" hands a
+# 3-column matrix to a caller that fixed 2 columns (a fitted model, a pool,
+# a network); "one arm" is for callers that need both arms.
+_X = np.random.default_rng(50).standard_normal((12, 2))
+_W = np.tile([0, 1], 6)
+_Y = np.random.default_rng(51).standard_normal(12)
+_COVARIATES = ("nan", "inf", "1-D")
+_LABELS = ("label 2", "one arm")
+
+
+def _entry_points():
+    logistic = propensity.LogisticModel(0.0, np.ones(2), iterations=0, grad_norm=0.0)
+    net = network.init_network(network.NetworkSpec((network.LayerSpec(2, 1),)), seed=0)
+    one_epoch = network.TrainConfig(epochs=1)
+    return {
+        "ObservationalDataset": (
+            lambda x, w: ObservationalDataset(x=x, w=w, y_obs=_Y), _COVARIATES + ("label 2",)),
+        "fit_identity": (lambda x, w: embedding.fit_identity(x), _COVARIATES),
+        "fit_pca": (lambda x, w: embedding.fit_pca(x, 1), _COVARIATES),
+        "fit_lle": (lambda x, w: embedding.fit_lle(x, 1, k_neighbors=4), _COVARIATES),
+        "fit_autoencoder": (
+            lambda x, w: embedding.fit_autoencoder(x, 1, one_epoch, seed=0), _COVARIATES),
+        "Embedder.transform": (
+            lambda x, w: embedding.fit_pca(_X, 1).transform(x), _COVARIATES + ("columns",)),
+        "propensity.fit": (
+            lambda x, w: propensity.fit("logistic", x, w, seed=0), _COVARIATES + _LABELS),
+        "fit_logistic": (lambda x, w: propensity.fit_logistic(x, w), _COVARIATES + _LABELS),
+        "LogisticModel.predict": (lambda x, w: logistic.predict(x), _COVARIATES + ("columns",)),
+        "balance_report": (
+            lambda x, w: propensity.balance_report(x, w, np.linspace(0.1, 0.9, 12)),
+            _COVARIATES + _LABELS),
+        "knn": (lambda x, w: matching.knn(x, _X, 1), _COVARIATES + ("columns",)),
+        "estimate_effects": (
+            lambda x, w: matching.estimate_effects(x, w, _Y), _COVARIATES + _LABELS),
+        "estimate_effects_pooled": (
+            lambda x, w: matching.estimate_effects_pooled(x, w, _Y, _X, w, _Y),
+            _COVARIATES + ("columns",) + _LABELS),
+        "nearest_opposite": (
+            lambda x, w: matching.nearest_opposite(x, w, 0), _COVARIATES + _LABELS),
+        # scores are a vector: column 1 carries the NaN and the inf
+        "propensity_match": (
+            lambda x, w: matching.propensity_match(x[:, 1], w), ("nan", "inf") + _LABELS),
+        "train": (
+            lambda x, w: network.train(net, x, np.zeros((x.shape[0], 1)), one_epoch, seed=0),
+            _COVARIATES + ("columns",)),
+    }
+
+
+def _bad_input(kind):
+    x, w = _X.copy(), _W.copy()
+    if kind == "nan":
+        x[3, 1] = np.nan
+    elif kind == "inf":
+        x[5, 1] = np.inf
+    elif kind == "1-D":
+        x = x[:, 0]
+    elif kind == "columns":
+        x = np.column_stack((x, x[:, 0]))
+    elif kind == "label 2":
+        w[4] = 2
+    else:
+        w[:] = 1
+    return x, w
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [(entry, kind) for entry, (_, kinds) in _entry_points().items() for kind in kinds],
+)
+def test_entry_point_rejects_bad_covariates_and_labels(entry, kind):
+    call, _ = _entry_points()[entry]
+    call(_X.copy(), _W.copy())  # the good input passes, so the bad one is what fails
+    x, w = _bad_input(kind)
+    with pytest.raises(ValueError):
+        call(x, w)

@@ -612,6 +612,30 @@ def test_run_record_checks_its_bounds_when_built(build, key):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: SwissRollRun(k_matches=1.5), "config.k_matches must be an integer, got 1.5"),
+        (lambda: GradcheckRun(count=2.5), "config.count must be an integer, got 2.5"),
+        (lambda: SwissRollRun(seed=1.5), "config.seed must be an integer, got 1.5"),
+        (lambda: SwissRollRun(twin_mode=1), "config.twin_mode must be true or false, got 1"),
+        (lambda: SwissRollRun(methods=["raw_knn"]), "config.methods must be a tuple"),
+        (lambda: SwissRollRun(autoencoder=TrainConfig(epochs=2.5)),
+         "config.autoencoder.epochs must be an integer"),
+        (lambda: SwissRollRun(dataset=SwissRollConfig(n=2.5)), "config.dataset.n must be an integer"),
+        (lambda: PropensityRun(fit=PropensityFitConfig(max_iter=2.5)),
+         "config.logistic.max_iter must be an integer"),
+    ],
+    ids=["float-k", "float-count", "float-seed", "int-flag", "list-methods", "nested-epochs",
+         "nested-n", "nested-max-iter"],
+)
+def test_run_record_checks_its_kinds_when_built(build, key):
+    # a record built in Python is held to the kinds a parsed config is; at
+    # the parent each of these was accepted, to fail at a stage or not at all
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        build()
+
+
 def test_readme_config_blocks_are_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)

@@ -233,6 +233,24 @@ class TestSilhouette:
                 continue
             assert silhouette(z, labels) == pytest.approx(silhouette_scan(z, labels), abs=1e-8)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+    def test_translated_clusters_match_scan_oracle(self, offset):
+        # distances formed by |a|^2 + |b|^2 - 2ab cancel away once the
+        # offset dwarfs the spread: at 1e8 that read 0.25 for about 0.9
+        rng = np.random.default_rng(3)
+        z = np.vstack([rng.normal(0.0, 0.05, (20, 2)), rng.normal(0.0, 0.05, (20, 2)) + [1.0, 0.0]])
+        labels = np.repeat([0, 1], 20)
+        expected = silhouette_scan(z + offset, labels)
+        assert expected > 0.9
+        assert silhouette(z + offset, labels) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        z = np.random.default_rng(4).normal(size=(10, 2))
+        z[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            silhouette(z, np.arange(10) % 2)
+
     def test_singleton_cluster_contributes_zero(self):
         z = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
         labels = np.array([0, 0, 1])

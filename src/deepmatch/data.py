@@ -10,10 +10,13 @@ observed outcome); simulated runs also carry the ground truth needed to
 score estimators: both potential outcomes, the exact unit-level effect,
 band labels, and for the paired design the twin indices.
 
-The library's two input rules live here too, and every public entry point
-that takes covariates or labels applies them where the input enters:
-`finite_matrix` (2-D, finite, a given column count where one is expected)
-and `treatment` (n labels of 0 or 1, and both arms where they are needed).
+The library's three input rules live here too, and every public entry
+point applies them where its input enters: `finite_matrix` to covariates and
+their embeddings (2-D, finite, a given column count where one is expected),
+`treatment` to labels (n labels of 0 or 1, and both arms where they are
+needed) and `finite_vector` to outcomes, scores and effects (1-D, finite, a
+given length where one is expected). `count` holds the configs' integer
+fields to integers.
 """
 
 from __future__ import annotations
@@ -36,6 +39,25 @@ def finite_matrix(x, what: str, columns: int | None = None) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite (found NaN or inf)")
     return x
+
+
+def finite_vector(v, what: str, n: int | None = None) -> np.ndarray:
+    """`v` as a 1-D float array of finite values, of length n if given."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or n not in (None, v.shape[0]):
+        want = "n" if n is None else n
+        raise ValueError(f"{what} must be a vector of length {want}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite (found NaN or inf)")
+    return v
+
+
+def count(value, what: str, least: int) -> None:
+    """Check that `value` is an integer, NumPy's too but never a bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 def treatment(w, n: int, both_arms: bool = True) -> np.ndarray:
@@ -82,11 +104,7 @@ class ObservationalDataset:
         x = finite_matrix(self.x, "covariates x")
         n = x.shape[0]
         w = treatment(self.w, n, both_arms=False)
-        y = np.asarray(self.y_obs, dtype=float)
-        if y.shape != (n,):
-            raise ValueError(f"length mismatch: x has {n} rows, y_obs {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("outcomes y_obs must be finite")
+        y = finite_vector(self.y_obs, "outcomes y_obs", n)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "y_obs", y)
@@ -95,11 +113,9 @@ class ObservationalDataset:
 
     def _check_truth(self, n: int) -> None:
         t = self.truth
-        for name in ("y0", "y1"):
-            arr = getattr(t, name)
-            if np.asarray(arr).shape != (n,):
-                raise ValueError(f"truth.{name} must have length {n}")
-        expected = np.where(self.w == 1, t.y1, t.y0)
+        y0 = finite_vector(t.y0, "truth.y0", n)
+        y1 = finite_vector(t.y1, "truth.y1", n)
+        expected = np.where(self.w == 1, y1, y0)
         if not np.array_equal(self.y_obs, expected):
             raise ValueError("y_obs must equal the potential outcome selected by w")
         g = np.asarray(t.group)
@@ -138,8 +154,7 @@ class SwissRollConfig:
     p_treat: float = 0.5
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        count(self.n, "n", 2)
         scalars = (self.noise_sigma, self.outcome_noise_sigma, self.p_treat)
         if not all(math.isfinite(v) for v in scalars):
             raise ValueError("config scalars must be finite")

@@ -5,14 +5,16 @@ deterministic and agree bit for bit with a plain scan. The search is pruned:
 a Z-order bound on each query's k-th distance limits it to a window of pool
 rows along one axis, and no row at or below that distance can lie outside
 the window (see `knn`). Every neighbor search in the library (effect
-matching, score matching, LLE) runs through this one kernel, `knn`, which
-rejects non-finite input; effect estimation rejects non-finite outcomes as
-well. Neighbors come back only as index arrays: `knn`'s (indices,
-distances), one query's row of them from `nearest_opposite`, and (queries,
-matched) from `propensity_match`. Every unit gets its k matches, so each
-estimated effect is finite. The unit-level effect estimate differences
-each unit's observed outcome against the mean outcome of its k nearest
-opposite-arm neighbors:
+matching, score matching, LLE) runs through this one kernel, `knn`. Each
+public function checks its whole input where it enters, through `data`'s
+rules: representations by `finite_matrix`, labels by `treatment`, and
+outcomes and scores by `finite_vector`, so a non-finite row is rejected
+even in an arm that no query matches into. Neighbors come back only as
+index arrays: `knn`'s (indices, distances), one query's row of them from
+`nearest_opposite`, and (queries, matched) from `propensity_match`. Every
+unit gets its k matches, so each estimated effect is finite. The unit-level
+effect estimate differences each unit's observed outcome against the mean
+outcome of its k nearest opposite-arm neighbors:
 
     ite[i] = y_obs[i] - mean(matched control outcomes)   if w[i] = 1
     ite[i] = mean(matched treated outcomes) - y_obs[i]   if w[i] = 0
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import finite_matrix, treatment
+from .data import finite_matrix, finite_vector, treatment
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class EffectEstimate:
     ite: np.ndarray
 
     def __post_init__(self):
-        ite = np.asarray(self.ite, dtype=float)
-        if ite.size == 0 or not np.all(np.isfinite(ite)):
+        ite = finite_vector(self.ite, "effect estimates ite")
+        if ite.size == 0:
             raise ValueError("effect estimates ite must be a non-empty vector of finite values")
         object.__setattr__(self, "ite", ite)
 
@@ -171,7 +173,7 @@ def nearest_opposite(
     z: np.ndarray, w: np.ndarray, i: int, k: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, distances) of unit i's k nearest opposite-arm units in z, nearest first."""
-    z = np.asarray(z, dtype=float)
+    z = finite_matrix(z, "representations z")
     w = treatment(w, z.shape[0])
     opp = np.flatnonzero(w != w[i])
     idx, d = knn(z[i : i + 1], z[opp], k)
@@ -184,6 +186,7 @@ def estimate_effects(
     """Effect estimates matching every unit within one dataset."""
     z = finite_matrix(z, "representations z")
     treatment(w, z.shape[0])
+    finite_vector(y_obs, "outcomes y_obs", z.shape[0])
     return estimate_effects_pooled(z, w, y_obs, z, w, y_obs, k)
 
 
@@ -196,22 +199,12 @@ def estimate_effects_pooled(
     training set, and each test unit matches into the pool's opposite arm.
     The k matched outcomes are summed left to right, as a scalar scan would.
     """
-    z_query = np.asarray(z_query, dtype=float)
-    z_pool = np.asarray(z_pool, dtype=float)
-    w_query = np.asarray(w_query)
-    w_pool = np.asarray(w_pool)
-    y_query = np.asarray(y_query, dtype=float)
-    y_pool = np.asarray(y_pool, dtype=float)
-    if z_query.ndim != 2 or z_pool.ndim != 2 or z_query.shape[1] != z_pool.shape[1]:
-        raise ValueError("representations must be n x m, with one m for queries and pool")
-    if not w_query.shape == y_query.shape == z_query.shape[:1] or not (
-        w_pool.shape == y_pool.shape == z_pool.shape[:1]
-    ):
-        raise ValueError("w and y must have one entry per row of z, for queries and pool alike")
-    if not (np.isfinite(y_query).all() and np.isfinite(y_pool).all()):
-        raise ValueError("outcomes y must be finite, for queries and pool alike")
+    z_query = finite_matrix(z_query, "representations z_query")
+    z_pool = finite_matrix(z_pool, "representations z_pool", z_query.shape[1])
     w_query = treatment(w_query, z_query.shape[0], both_arms=False)
     w_pool = treatment(w_pool, z_pool.shape[0], both_arms=False)
+    y_query = finite_vector(y_query, "outcomes y_query", z_query.shape[0])
+    y_pool = finite_vector(y_pool, "outcomes y_pool", z_pool.shape[0])
     # every row is filled below; EffectEstimate rejects a NaN left behind
     ite = np.full(z_query.shape[0], np.nan)
     for arm, side in ((1, "control"), (0, "treated")):
@@ -245,10 +238,7 @@ def propensity_match(scores, w, query_arm: int = 1) -> tuple[np.ndarray, np.ndar
     and ties take the lower index. The default matches treated units to
     controls; query_arm=0 runs the symmetric direction.
     """
-    scores = np.asarray(scores, dtype=float)
-    w = np.asarray(w)
-    if scores.ndim != 1 or scores.shape != w.shape:
-        raise ValueError("scores and w must be equal-length vectors")
+    scores = finite_vector(scores, "scores")
     if query_arm not in (0, 1):
         raise ValueError(f"query_arm must be 0 or 1, got {query_arm}")
     w = treatment(w, scores.shape[0])

@@ -8,11 +8,12 @@ index arrays against the known pairs. Both are plain dataclasses;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroundTruth, finite_matrix
+from .data import GroundTruth, finite_matrix, finite_vector, treatment
 from .matching import EffectEstimate, _distances
 
 # Previously reported results for the jittered-pairs benchmark, as
@@ -36,10 +37,10 @@ class EffectReport:
     seed: int
 
     def __post_init__(self):
-        if self.mean_abs_ite_error < 0:
-            raise ValueError("mean_abs_ite_error must be >= 0")
-        if self.ate_error < 0:
-            raise ValueError("ate_error must be >= 0")
+        for name in ("mean_abs_ite_error", "ate_error"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,8 @@ def misassignment_report(
     expected = np.asarray(pair_index)[queries]
     rate = 100.0 * float(np.mean(matched != expected))
     error = 100.0 * float(np.mean(np.abs(matched - expected) / len(queries)))
-    predicted_w = np.asarray(predicted_w)
-    true_w = np.asarray(true_w)
-    if predicted_w.shape != true_w.shape:
-        raise ValueError("predicted_w and true_w must be aligned")
+    true_w = treatment(true_w, np.size(true_w), both_arms=False)
+    predicted_w = treatment(predicted_w, true_w.shape[0], both_arms=False)
     accuracy = 100.0 * float(np.mean(predicted_w == true_w))
     return PropensityReport(
         method=method,
@@ -136,7 +135,7 @@ def misassignment_report(
 
 def threshold_labels(scores: np.ndarray, threshold: float = ACCURACY_THRESHOLD) -> np.ndarray:
     """Hard labels from scores; ties at the threshold go to class 1."""
-    return (np.asarray(scores, dtype=float) >= threshold).astype(int)
+    return (finite_vector(scores, "scores") >= threshold).astype(int)
 
 
 def silhouette(z: np.ndarray, labels: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import finite_matrix
+from .data import count, finite_matrix
 
 
 def _softmax(z: np.ndarray) -> None:
@@ -137,10 +137,8 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        count(self.epochs, "epochs", 1)
+        count(self.batch_size, "batch_size", 1)
 
 
 def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator, out: tuple):

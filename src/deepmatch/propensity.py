@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import finite_matrix, train_test_split, treatment
+from .data import count, finite_matrix, finite_vector, train_test_split, treatment
 from .network import (
     LayerSpec,
     Network,
@@ -33,7 +33,7 @@ MODEL_KINDS = ("logistic", "propensity_net")
 
 def log_odds(scores: np.ndarray) -> np.ndarray:
     """ln(p / (1-p)) with p clamped away from 0 and 1, so always finite."""
-    p = np.clip(np.asarray(scores, dtype=float), SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    p = np.clip(finite_vector(scores, "scores"), SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     return np.log(p / (1.0 - p))
 
 
@@ -122,8 +122,7 @@ class PropensityFitConfig:
             raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        count(self.max_iter, "max_iter", 1)
 
 
 def _mean_nll_and_grad(design, labels, beta, ridge):
@@ -274,11 +273,7 @@ def balance_report(x, w, scores, n_strata: int = 5) -> BalanceReport:
         raise ValueError(f"n_strata must be >= 1, got {n_strata}")
     x = finite_matrix(x, "features")
     w = treatment(w, x.shape[0])
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != w.shape:
-        raise ValueError("x, w and scores must be row-aligned")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
+    scores = finite_vector(scores, "scores", x.shape[0])
     overall = tuple(_smd_one(x[:, j], w) for j in range(x.shape[1]))
     score_smd = _smd_one(scores, w)
 

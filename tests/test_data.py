@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from deepmatch import embedding, matching, network, propensity
+from deepmatch import embedding, matching, metrics, network, propensity
 from deepmatch.data import (
     GroundTruth,
     ObservationalDataset,
@@ -294,6 +295,9 @@ def _entry_points():
         "train": (
             lambda x, w: network.train(net, x, np.zeros((x.shape[0], 1)), one_epoch, seed=0),
             _COVARIATES + ("columns",)),
+        # predicted labels, scored against the true ones
+        "misassignment_report": (
+            lambda x, w: metrics.misassignment_report([0], [1], [1, 0], w, _W), ("label 2",)),
     }
 
 
@@ -324,3 +328,99 @@ def test_entry_point_rejects_bad_covariates_and_labels(entry, kind):
     x, w = _bad_input(kind)
     with pytest.raises(ValueError):
         call(x, w)
+
+
+# One contract for every public entry point that takes an outcome, score or
+# effect vector: each call gets a vector v of 12 values next to _X and _W,
+# and a NaN, an inf, a 2-D column or, where _X fixes the length, 11 values
+# must raise a ValueError that names the vector. The bad value goes in row 3,
+# which is treated in _W. So three rows are inputs that nothing downstream
+# reads, and the rule must still reject them: y0 of a treated unit (and y1 of
+# a control, once truth.y1 flips the arms), a pool row in the arm that no
+# (treated) query matches into, and a row in treated unit 1's own arm.
+_Y0 = np.random.default_rng(52).standard_normal(12)
+_Y1 = _Y0 + 1.0
+_SCORES = np.linspace(0.1, 0.9, 12)
+_VECTORS = ("nan", "inf", "2-D")
+
+
+def _observed(w, y0=_Y0, y1=_Y1):
+    """A dataset with truth, its observed outcomes taken from the good _Y0 and _Y1."""
+    truth = GroundTruth(y0=y0, y1=y1, group=np.zeros(12, dtype=int))
+    return ObservationalDataset(x=_X, w=w, y_obs=np.where(w == 1, _Y1, _Y0), truth=truth)
+
+
+def _vector_entry_points():
+    # name -> (call, good vector, bad kinds, the message's pattern)
+    return {
+        "ObservationalDataset.y_obs": (
+            lambda v: ObservationalDataset(x=_X, w=_W, y_obs=v), _Y, _VECTORS + ("length",),
+            "y_obs"),
+        "truth.y0": (lambda v: _observed(_W, y0=v), _Y0, _VECTORS + ("length",), "truth.y0"),
+        "truth.y1": (lambda v: _observed(1 - _W, y1=v), _Y1, _VECTORS + ("length",), "truth.y1"),
+        "estimate_effects.y_obs": (
+            lambda v: matching.estimate_effects(_X, _W, v), _Y, _VECTORS + ("length",), "y_obs"),
+        "estimate_effects_pooled.y_query": (
+            lambda v: matching.estimate_effects_pooled(_X, _W, v, _X, _W, _Y), _Y,
+            _VECTORS + ("length",), "y_query"),
+        "estimate_effects_pooled.y_pool": (
+            lambda v: matching.estimate_effects_pooled(_X, _W, _Y, _X, _W, v), _Y,
+            _VECTORS + ("length",), "y_pool"),
+        # the scores fix the length here, and w of the other length is refused
+        "propensity_match.scores": (
+            lambda v: matching.propensity_match(v, _W), _SCORES, _VECTORS + ("length",),
+            "scores|treatment w"),
+        "balance_report.scores": (
+            lambda v: propensity.balance_report(_X, _W, v), _SCORES, _VECTORS + ("length",),
+            "scores"),
+        "EffectEstimate.ite": (lambda v: matching.EffectEstimate(ite=v), _Y, _VECTORS, "ite"),
+        "log_odds": (propensity.log_odds, _SCORES, _VECTORS, "scores"),
+        "threshold_labels": (metrics.threshold_labels, _SCORES, _VECTORS, "scores"),
+        "estimate_effects_pooled.z_pool, unmatched arm": (
+            lambda z: matching.estimate_effects_pooled(
+                _X[_W == 1], _W[_W == 1], _Y[_W == 1], z, _W, _Y),
+            _X, ("nan",), "z_pool"),
+        "nearest_opposite.z, own arm": (
+            lambda z: matching.nearest_opposite(z, _W, 1), _X, ("nan",), "representations z"),
+    }
+
+
+def _bad_vector(v, kind):
+    v = v.copy()
+    if kind == "nan":
+        v[3] = np.nan
+    elif kind == "inf":
+        v[3] = np.inf
+    elif kind == "2-D":
+        v = v[:, None]
+    else:
+        v = v[:11]
+    return v
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [(entry, kind) for entry, (_, _, kinds, _) in _vector_entry_points().items() for kind in kinds],
+)
+def test_entry_point_rejects_bad_vectors(entry, kind):
+    call, good, _, names = _vector_entry_points()[entry]
+    call(good.copy())  # the good input passes, so the bad one is what fails
+    with pytest.raises(ValueError, match=names):
+        call(_bad_vector(good, kind))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: network.TrainConfig(epochs=v), "epochs"),
+        (lambda v: network.TrainConfig(epochs=1, batch_size=v), "batch_size"),
+        (lambda v: SwissRollConfig(n=v), "n"),
+        (lambda v: propensity.PropensityFitConfig(max_iter=v), "max_iter"),
+    ],
+    ids=["epochs", "batch_size", "n", "max_iter"],
+)
+@pytest.mark.parametrize("bad", [2.5, 3.0, True], ids=["float", "whole-float", "bool"])
+def test_config_counts_must_be_integers(build, field, bad):
+    build(np.int64(3))  # a NumPy integer is an integer
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+        build(bad)

@@ -613,26 +613,30 @@ def test_run_record_checks_its_bounds_when_built(build, key):
 
 
 @pytest.mark.parametrize(
-    "build, key",
+    "build, error, key",
     [
-        (lambda: SwissRollRun(k_matches=1.5), "config.k_matches must be an integer, got 1.5"),
-        (lambda: GradcheckRun(count=2.5), "config.count must be an integer, got 2.5"),
-        (lambda: SwissRollRun(seed=1.5), "config.seed must be an integer, got 1.5"),
-        (lambda: SwissRollRun(twin_mode=1), "config.twin_mode must be true or false, got 1"),
-        (lambda: SwissRollRun(methods=["raw_knn"]), "config.methods must be a tuple"),
-        (lambda: SwissRollRun(autoencoder=TrainConfig(epochs=2.5)),
-         "config.autoencoder.epochs must be an integer"),
-        (lambda: SwissRollRun(dataset=SwissRollConfig(n=2.5)), "config.dataset.n must be an integer"),
-        (lambda: PropensityRun(fit=PropensityFitConfig(max_iter=2.5)),
-         "config.logistic.max_iter must be an integer"),
+        (lambda: SwissRollRun(k_matches=1.5), ConfigError,
+         "config.k_matches must be an integer, got 1.5"),
+        (lambda: GradcheckRun(count=2.5), ConfigError, "config.count must be an integer, got 2.5"),
+        (lambda: SwissRollRun(seed=1.5), ConfigError, "config.seed must be an integer, got 1.5"),
+        (lambda: SwissRollRun(twin_mode=1), ConfigError,
+         "config.twin_mode must be true or false, got 1"),
+        (lambda: SwissRollRun(methods=["raw_knn"]), ConfigError, "config.methods must be a tuple"),
+        # a nested domain dataclass rejects a float count itself, before any record exists
+        (lambda: SwissRollRun(autoencoder=TrainConfig(epochs=2.5)), ValueError,
+         "epochs must be an integer, got 2.5"),
+        (lambda: SwissRollRun(dataset=SwissRollConfig(n=2.5)), ValueError,
+         "n must be an integer, got 2.5"),
+        (lambda: PropensityRun(fit=PropensityFitConfig(max_iter=2.5)), ValueError,
+         "max_iter must be an integer, got 2.5"),
     ],
     ids=["float-k", "float-count", "float-seed", "int-flag", "list-methods", "nested-epochs",
          "nested-n", "nested-max-iter"],
 )
-def test_run_record_checks_its_kinds_when_built(build, key):
+def test_run_record_checks_its_kinds_when_built(build, error, key):
     # a record built in Python is held to the kinds a parsed config is; at
     # the parent each of these was accepted, to fail at a stage or not at all
-    with pytest.raises(ConfigError, match=re.escape(key)):
+    with pytest.raises(error, match=re.escape(key)):
         build()
 
 

@@ -365,15 +365,15 @@ def _z_with(value, row):
         ),
         pytest.param(
             lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _Z, _W[:12], _Y),
-            "one entry per row", id="short_w_pool",
+            r"treatment w has shape \(12,\), expected \(20,\)", id="short_w_pool",
         ),
         pytest.param(
             lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _Z, _W, _Y[:12]),
-            "one entry per row", id="short_y_pool",
+            "outcomes y_pool must be a vector of length 20", id="short_y_pool",
         ),
         pytest.param(
             lambda: estimate_effects_pooled(_Z[:5], _W[:8], _Y[:5], _Z, _W, _Y),
-            "one entry per row", id="long_w_query",
+            r"treatment w has shape \(8,\), expected \(5,\)", id="long_w_query",
         ),
         pytest.param(
             lambda: estimate_effects_pooled(_Z[:5], _W[:5], _Y[:5], _z_with(np.nan, 9), _W, _Y),

@@ -39,6 +39,14 @@ class TestReportRecords:
         with pytest.raises(ValueError):
             EffectReport(method="x", mean_abs_ite_error=0.1, ate_error=-1.0, n_test=5, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mean_abs_ite_error", "ate_error"])
+    def test_effect_report_rejects_non_finite(self, field, bad):
+        # NaN fails every `< 0` test, so a sign check alone lets it through
+        values = {"mean_abs_ite_error": 0.1, "ate_error": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EffectReport(method="", n_test=6, seed=0, **values)
+
     def test_propensity_report_range_validated(self):
         with pytest.raises(ValueError):
             PropensityReport(

@@ -15,8 +15,8 @@ point applies them where its input enters: `finite_matrix` to covariates and
 their embeddings (2-D, finite, a given column count where one is expected),
 `treatment` to labels (n labels of 0 or 1, and both arms where they are
 needed) and `finite_vector` to outcomes, scores and effects (1-D, finite, a
-given length where one is expected). `count` holds the configs' integer
-fields to integers.
+given length where one is expected). `count` holds the integer arguments
+and the configs' integer fields to integers.
 """
 
 from __future__ import annotations
@@ -224,8 +224,7 @@ def gen_propensity_pairs(n: int, jitter_sigma: float, seed: int) -> Observationa
     `truth.pair_index` records the twin bijection. There is no treatment
     effect in this design: both potential outcomes equal the observed one.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    count(n, "n", 1)
     if not (jitter_sigma > 0 and math.isfinite(jitter_sigma)):
         raise ValueError(
             "jitter_sigma must be > 0: coincident twins make neighbor order vacuous"
@@ -277,6 +276,7 @@ def duplicate_twins(ds: ObservationalDataset) -> ObservationalDataset:
 
 def train_test_split(n: int, test_fraction: float, seed: int):
     """Seeded index split; returns (train_idx, test_idx), both sorted."""
+    count(n, "n", 1)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)

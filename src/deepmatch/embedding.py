@@ -22,7 +22,7 @@ import numpy as np
 # PCA's and LLE's one eigensolver; the benchmark tracer wraps it by this name
 from numpy.linalg import eigh as symmetric_eigh
 
-from .data import finite_matrix
+from .data import count, finite_matrix
 from .matching import knn
 from .network import (
     LayerSpec,
@@ -48,8 +48,7 @@ def _check_fit_input(x: np.ndarray, m: int, require_reduction: bool = True) -> n
     x = finite_matrix(x, "fit data")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit")
-    if m < 1:
-        raise ValueError(f"target dimension must be >= 1, got {m}")
+    count(m, "target dimension", 1)
     if require_reduction and m >= x.shape[1]:
         raise ValueError(
             f"target dimension {m} must be smaller than input dimension {x.shape[1]}"
@@ -486,8 +485,7 @@ def fit_lle(x: np.ndarray, m: int, k_neighbors: int = 10, reg: float = 1e-3) -> 
     x = _check_fit_input(x, m)
     if reg <= 0:
         raise ValueError(f"reg must be > 0, got {reg}")
-    if k_neighbors < m + 1:
-        raise ValueError(f"k_neighbors must be >= m+1 = {m + 1}, got {k_neighbors}")
+    count(k_neighbors, "k_neighbors", m + 1)
     if k_neighbors >= x.shape[0]:
         raise ValueError(f"k_neighbors must be < n = {x.shape[0]}, got {k_neighbors}")
     cost = _lle_cost(*lle_weight_matrix(x, k_neighbors, reg))

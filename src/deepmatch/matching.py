@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import finite_matrix, finite_vector, treatment
+from .data import count, finite_matrix, finite_vector, treatment
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ def knn(queries: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     queries = finite_matrix(queries, "queries")
     pool = finite_matrix(pool, "pool", queries.shape[1])
     n_pool = pool.shape[0]
-    if not 1 <= k <= n_pool:
+    count(k, "k", 1)
+    if k > n_pool:
         raise ValueError(f"k must be in [1, {n_pool}] (pool size), got {k}")
     indices = np.empty((queries.shape[0], k), dtype=np.intp)
     distances = np.empty((queries.shape[0], k))
@@ -199,6 +200,7 @@ def estimate_effects_pooled(
     training set, and each test unit matches into the pool's opposite arm.
     The k matched outcomes are summed left to right, as a scalar scan would.
     """
+    count(k, "k", 1)
     z_query = finite_matrix(z_query, "representations z_query")
     z_pool = finite_matrix(z_pool, "representations z_pool", z_query.shape[1])
     w_query = treatment(w_query, z_query.shape[0], both_arms=False)

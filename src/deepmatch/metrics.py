@@ -118,6 +118,8 @@ def misassignment_report(
     matched = np.asarray(matched)
     if queries.ndim != 1 or queries.shape != matched.shape or queries.size == 0:
         raise ValueError("queries and matched must be non-empty vectors of equal length")
+    if np.size(true_w) == 0:
+        raise ValueError("the held-out set is empty: true_w has no labels to score accuracy on")
     expected = np.asarray(pair_index)[queries]
     rate = 100.0 * float(np.mean(matched != expected))
     error = 100.0 * float(np.mean(np.abs(matched - expected) / len(queries)))

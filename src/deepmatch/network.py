@@ -9,31 +9,44 @@ No autodiff framework is involved; the finite-difference harness in
 `gradcheck` exists precisely to keep these gradients honest.
 
 A training step on small layers is numpy call overhead, not arithmetic. So
-`forward` and `backward` write with `out=` ufuncs into a `ForwardPass`
-workspace that `Network.workspace` allocates and `train` makes once per
-batch length; for MSE, `train` points its residual at the epoch's rows. The
-adadelta step runs in place. `predict` and `gradcheck` run the same code on
-a fresh workspace. Products use `np.dot`, the same dgemm as `@` for any
-operand with a unit stride, at less cost per call. None of this moves a bit:
-every array is formed by the same operations, in the same order, as when it
-was freshly allocated, and an output buffer does not change how numpy
-evaluates an operation. Only a multiplication by the identity's derivative,
-1.0, is skipped, because it is exact.
+a pass is built first, as a list of (numpy function, arguments) pairs bound
+to the arrays of a `ForwardPass` workspace with positional `out` arguments,
+and then run by one loop. `forward` and `backward` build and run theirs in
+one call, for `predict` and `gradcheck`; `train` builds every batch's whole
+step, forward, backward and the adadelta update, once per fit, over views of
+one buffer into which each epoch gathers its shuffled rows, and then only
+runs it. Products use `np.dot`, the same dgemm as `@` for any operand with a
+unit stride, at less cost per call. None of this moves a bit: every array is
+formed by the same operations, in the same order, as when it was freshly
+allocated, and an output buffer does not change how numpy evaluates an
+operation. Two rewrites are exact: a multiplication by the identity's
+derivative, 1.0, is skipped, and the MSE's 2 r / B is formed as r / (B / 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import count, finite_matrix
 
+# adadelta's decay rate rho = 0.95, its eps = 1e-6 and 1 - rho, and the
+# activations' 0 and 1, as 0-d arrays: faster ufunc operands than floats.
+_RHO, _EPS, _DECAY = np.array(0.95), np.array(1e-6), np.array(1.0 - 0.95)
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
 
-def _softmax(z: np.ndarray) -> None:
-    np.subtract(z, z.max(axis=1, keepdims=True), out=z)
-    np.exp(z, out=z)
-    np.divide(z, z.sum(axis=1, keepdims=True), out=z)
+
+def _run(calls: list) -> None:
+    for function, args in calls:
+        function(*args)
+
+
+def _softmax(z: np.ndarray) -> list:
+    col = np.empty((z.shape[0], 1))  # each row's max, then its sum
+    return [(np.maximum.reduce, (z, 1, None, col, True)), (np.subtract, (z, col, z)),
+            (np.exp, (z, z)), (np.add.reduce, (z, 1, None, col, True)), (np.divide, (z, col, z))]
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -46,28 +59,25 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-# name -> (the function, applied in place to the pre-activation z; its
-# derivative, expressed through the output h and written into `out`). The
-# identity needs neither: it leaves z as it is, and multiplying by its
-# derivative, 1.0, is exact. Softmax has no derivative: it only feeds
-# cross-entropy, whose logit gradient backward forms directly.
+# name -> (the calls that apply the function in place to the pre-activation z;
+# the calls that write its derivative, expressed through the output h, into
+# `out`). The identity needs no calls, and multiplying by its derivative, 1.0,
+# is exact. Softmax has no derivative: it only feeds cross-entropy, whose
+# logit gradient backward forms directly.
 _ACTIVATIONS = {
-    "identity": (None, None),
-    "relu": (lambda z: np.maximum(0.0, z, out=z), lambda h, out: np.greater(h, 0.0, out=out)),
-    "sigmoid": (lambda z: sigmoid(z, out=z),
-                lambda h, out: np.multiply(h, np.subtract(1.0, h, out=out), out=out)),
-    "tanh": (lambda z: np.tanh(z, out=z),
-             lambda h, out: np.subtract(1.0, np.square(h, out=out), out=out)),
+    "identity": (lambda z: [], None),
+    # np.maximum deprecates a positional out
+    "relu": (lambda z: [(partial(np.maximum, out=z), (_ZERO, z))],
+             lambda h, out: [(np.greater, (h, _ZERO, out))]),
+    "sigmoid": (lambda z: [(sigmoid, (z, z))],
+                lambda h, out: [(np.subtract, (_ONE, h, out)), (np.multiply, (h, out, out))]),
+    "tanh": (lambda z: [(np.tanh, (z, z))],
+             lambda h, out: [(np.square, (h, out)), (np.subtract, (_ONE, out, out))]),
     "softmax": (_softmax, None),
 }
 LOSSES = ("mse", "categorical_cross_entropy")
 
 CCE_CLAMP = 1e-12  # lower clamp inside the log, avoids ln(0)
-
-# adadelta's decay rate rho = 0.95, its eps = 1e-6 and 1 - rho, as 0-d arrays:
-# faster ufunc operands than floats.
-_RHO, _EPS, _DECAY = np.array(0.95), np.array(1e-6), np.array(1.0 - 0.95)
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when training produces a non-finite loss or parameter."""
@@ -141,28 +151,13 @@ class TrainConfig:
         count(self.batch_size, "batch_size", 1)
 
 
-def apply_dropout(h: np.ndarray, rate: float, rng: np.random.Generator, out: tuple):
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
-
-    Writes into `out`, a (dropped, mask) pair of C-ordered arrays shaped like
-    `h`, and returns it; the mask already carries the 1/(1-rate) scaling so
-    that applying it is a single multiply in both passes.
-    """
-    keep = 1.0 - rate
-    dropped, mask = out
-    rng.random(out=mask)
-    np.less(mask, keep, out=mask)
-    np.divide(mask, keep, out=mask)
-    np.multiply(h, mask, out=dropped)
-    return dropped, mask
-
-
 @dataclass
 class ForwardPass:
     """The arrays that `forward` and `backward` write for one batch.
 
     `Network.workspace` allocates one per batch length, so a training loop
-    can reuse it; for an MSE net, `train` swaps `residual` for its epoch rows.
+    can reuse it; `train` binds its own rows in place of `inputs[0]` and
+    `residual`.
     """
 
     inputs: list    # layer inputs: inputs[l] feeds layer l; inputs[-1] is the output
@@ -171,7 +166,6 @@ class ForwardPass:
     dropout: bool   # made for passes with dropout, which draw from an rng
     residual: np.ndarray  # output - target, written by backward
     scratch: list   # backward's two arrays per layer, shaped like its output
-    grad_views: tuple = (None, None)  # the last gradient vector and its split views
 
     @property
     def output(self) -> np.ndarray:
@@ -238,24 +232,13 @@ class Network:
         with dropout iff an `rng` is passed; by default into a fresh one.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ValueError(
-                f"input must be 2-D with {self.spec.input_dim} columns, got shape {x.shape}"
-            )
+        _check_input(self.spec, x)
         cache = self.workspace(x.shape[0], dropout=rng is not None) if out is None else out
         if cache.dropout != (rng is not None):
             raise ValueError(f"a workspace made with dropout={cache.dropout} "
                              f"needs {'an' if cache.dropout else 'no'} rng")
-        cache.inputs[0] = a = x
-        for l, layer in enumerate(self.spec.layers):
-            h = np.dot(a, self.weights[l].T, out=cache.hidden[l])
-            np.add(h, self.biases[l], out=h)
-            activate = _ACTIVATIONS[layer.activation][0]
-            if activate is not None:
-                activate(h)
-            a = cache.inputs[l + 1]
-            if a is not h:
-                apply_dropout(h, layer.dropout_rate, rng, out=(a, cache.masks[l]))
+        cache.inputs[0] = x
+        _run(_forward_calls(self, cache, rng))
         return cache
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -281,51 +264,75 @@ class Network:
         fresh vector; `cache.residual` is left holding output - target.
         """
         target = np.asarray(target, dtype=float)
-        output = cache.output
-        if output.shape != target.shape:
-            raise ValueError(f"output {output.shape} vs target {target.shape}")
+        if cache.output.shape != target.shape:
+            raise ValueError(f"output {cache.output.shape} vs target {target.shape}")
         grad = np.empty(self.spec.param_count) if out is None else out
-        if grad is not cache.grad_views[0]:  # train passes one vector every step
-            cache.grad_views = (grad, self.split(grad))
-        views = cache.grad_views[1]
-        n_batch = np.array(float(output.shape[0]))  # 0-d: a faster operand than an int
-        layers = self.spec.layers
-        last = len(layers) - 1
-
-        r = np.subtract(output, target, out=cache.residual)
-        d_out, spare = cache.scratch[last]
-        if self.spec.loss == "categorical_cross_entropy":
-            # Softmax + CCE collapse to (p - t) / B at the logits.
-            delta = np.divide(r, n_batch, out=d_out)
-        else:
-            np.add(r, r, out=d_out)  # exactly 2.0 * r
-            np.divide(d_out, n_batch, out=d_out)
-            delta = _times_derivative(layers[last].activation, output, d_out, spare)
-
-        for l in range(last, -1, -1):
-            dw, db = views[l]
-            np.add.reduce(delta, axis=0, out=db)
-            np.dot(delta.T, cache.inputs[l], out=dw)
-            if l > 0:
-                da, spare = cache.scratch[l - 1]
-                np.dot(delta, self.weights[l], out=da)
-                if cache.masks[l - 1] is not None:
-                    np.multiply(da, cache.masks[l - 1], out=da)
-                delta = _times_derivative(layers[l - 1].activation, cache.hidden[l - 1], da, spare)
+        _run(_backward_calls(self, cache, target, cache.residual, grad))
         return grad
 
 
+def _check_input(spec: NetworkSpec, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"input must be 2-D with {spec.input_dim} columns, got shape {x.shape}")
+
+
+def _forward_calls(net: Network, cache: ForwardPass, rng: np.random.Generator | None) -> list:
+    """The forward pass from `cache.inputs[0]` through `cache`, dropout iff an `rng`.
+
+    Inverted dropout zeroes each unit with probability `rate` and scales the
+    survivors by 1/(1-rate); its mask carries the scaling, so that applying
+    it is a single multiply in both passes.
+    """
+    calls, a = [], cache.inputs[0]
+    for l, layer in enumerate(net.spec.layers):
+        h = cache.hidden[l]
+        calls += [(np.dot, (a, net.weights[l].T, h)), (np.add, (h, net.biases[l], h))]
+        calls += _ACTIVATIONS[layer.activation][0](h)
+        a, mask, keep = cache.inputs[l + 1], cache.masks[l], np.array(1.0 - layer.dropout_rate)
+        if a is not h:
+            calls += [(rng.random, (None, np.float64, mask)), (np.less, (mask, keep, mask)),
+                      (np.divide, (mask, keep, mask)), (np.multiply, (h, mask, a))]
+    return calls
+
+
+def _backward_calls(net: Network, cache: ForwardPass, target: np.ndarray,
+                    residual: np.ndarray, grad: np.ndarray) -> list:
+    """The gradient into `grad` after the pass in `cache`, and output - target into `residual`."""
+    output, layers = cache.output, net.spec.layers
+    last = len(layers) - 1
+    d_out, spare = cache.scratch[last]
+    calls = [(np.subtract, (output, target, residual))]
+    if net.spec.loss == "categorical_cross_entropy":
+        # Softmax + CCE collapse to (p - t) / B at the logits.
+        calls.append((np.divide, (residual, np.array(float(output.shape[0])), d_out)))
+        delta = d_out
+    else:
+        # 2 r / B as r / (B / 2): B / 2 and 2 r are exact, so both round one quotient
+        calls.append((np.divide, (residual, np.array(output.shape[0] / 2.0), d_out)))
+        delta = _times_derivative(layers[last].activation, output, d_out, spare, calls)
+    for l, (dw, db) in reversed(list(enumerate(net.split(grad)))):
+        calls += [(np.add.reduce, (delta, 0, None, db)), (np.dot, (delta.T, cache.inputs[l], dw))]
+        if l > 0:
+            da, spare = cache.scratch[l - 1]
+            calls.append((np.dot, (delta, net.weights[l], da)))
+            if cache.masks[l - 1] is not None:
+                calls.append((np.multiply, (da, cache.masks[l - 1], da)))
+            delta = _times_derivative(layers[l - 1].activation, cache.hidden[l - 1], da, spare,
+                                      calls)
+    return calls
+
+
 def _times_derivative(activation: str, h: np.ndarray, upstream: np.ndarray,
-                      spare: np.ndarray) -> np.ndarray:
-    """upstream * f'(h) for the layer output h, written into `spare`.
+                      spare: np.ndarray, calls: list) -> np.ndarray:
+    """Appends to `calls` upstream * f'(h), for the layer output h, into `spare`; returns it.
 
     The identity's derivative is 1.0 everywhere, so `upstream` is returned as is.
     """
     derivative = _ACTIVATIONS[activation][1]
     if derivative is None:
         return upstream
-    derivative(h, spare)
-    return np.multiply(upstream, spare, out=spare)
+    calls += derivative(h, spare) + [(np.multiply, (upstream, spare, spare))]
+    return spare
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -338,34 +345,37 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     return net
 
 
-def adadelta_step(theta: np.ndarray, grad: np.ndarray, state: np.ndarray,
-                  work: np.ndarray) -> None:
+def adadelta_step(theta: np.ndarray, steps: np.ndarray, state: np.ndarray,
+                  roots: np.ndarray) -> None:
     """One adadelta step (Zeiler 2012) on `theta`, in place, with rho = 0.95, eps = 1e-6:
 
         eg2'  = rho eg2 + (1 - rho) grad^2
         delta = -sqrt(ed2 + eps) / sqrt(eg2' + eps) * grad,  theta' = theta + delta
         ed2'  = rho ed2 + (1 - rho) delta^2
 
-    `state` stacks the running averages eg2 and ed2 as one (2, *grad.shape)
-    array and is updated in place; `work` is (3, *grad.shape) scratch. The
-    operations are those of the formulas, one by one, so every value keeps
-    their bits; theta - (-delta) is theta + delta exactly.
+    `steps` stacks the gradient and -delta, and `state` the running averages
+    eg2 and ed2, each as one (2, *grad.shape) array; `roots` is scratch of
+    that shape. A step leaves rho ed2' in state[1] and its -delta in
+    steps[1], and the next step adds (1 - rho) delta^2 in the same calls that
+    make its own eg2'. So the ed2 that a step reads is
+    state[1] + (1 - rho) steps[1]^2, and zeros in `steps` and `state` start
+    a run. The operations are those of the formulas, one by one, so every
+    value keeps their bits; (-delta)^2 is delta^2 and theta - (-delta) is
+    theta + delta exactly.
     """
+    # rows by index: unpacking an array iterates it, at 0.3 us a row
+    grad, step, root_g, root_d = steps[0], steps[1], roots[0], roots[1]
     eg2, ed2 = state[0], state[1]
-    roots, root_g, root_d, step = work[:2], work[0], work[1], work[2]
-    np.add(ed2, _EPS, out=root_d)          # ed2 + eps, before ed2 decays
-    np.multiply(state, _RHO, out=state)    # rho * eg2, rho * ed2
-    np.multiply(grad, grad, out=step)
-    np.multiply(step, _DECAY, out=step)
-    np.add(eg2, step, out=eg2)             # eg2' = rho eg2 + (1 - rho) g^2
-    np.add(eg2, _EPS, out=root_g)
-    np.sqrt(roots, out=roots)
-    np.divide(root_d, root_g, out=step)
-    np.multiply(step, grad, out=step)      # step = -delta
-    np.subtract(theta, step, out=theta)
-    np.multiply(step, step, out=root_g)
-    np.multiply(root_g, _DECAY, out=root_g)
-    np.add(ed2, root_g, out=ed2)           # ed2' = rho ed2 + (1 - rho) delta^2
+    np.multiply(steps, steps, roots)  # grad^2, and the last step's delta^2
+    np.multiply(roots, _DECAY, roots)
+    np.multiply(eg2, _RHO, eg2)
+    np.add(state, roots, state)       # eg2', and the ed2 of this step
+    np.add(state, _EPS, roots)
+    np.sqrt(roots, roots)
+    np.divide(root_d, root_g, step)
+    np.multiply(step, grad, step)     # step = -delta
+    np.subtract(theta, step, theta)
+    np.multiply(ed2, _RHO, ed2)       # rho ed2, for the next step to finish
 
 
 # No caller: only the benchmark tracer resolves this name, until it stops wrapping it.
@@ -394,15 +404,17 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
 
     `seed` draws the shuffling and the dropout masks, from one stream. The
     history holds the mean batch loss of each epoch (length = cfg.epochs).
-    Raises ValueError on empty or non-finite data, and TrainingDiverged when
-    an epoch ends with a non-finite loss or parameter.
+    Raises ValueError on empty or non-finite data, or data whose widths do not
+    fit the net, before any step; and TrainingDiverged when an epoch ends with
+    a non-finite loss or parameter.
 
-    Each epoch gathers its shuffled rows once and steps through contiguous
-    slices of them, reusing one workspace per batch length (the full batch
-    and the last one), one gradient vector and the adadelta state. An MSE
-    loss is not recomputed: each step swaps the workspace's `residual` for
-    the batch's rows of the epoch residuals, into which `backward` writes
-    output - target, and the epoch loss is reduced from them as batch-by-batch
+    The steps of an epoch are built once, before the first: each epoch gathers
+    its shuffled rows into one buffer, and each batch's step runs its forward
+    pass, backward pass and `adadelta_step` on its rows, views of that buffer,
+    through one workspace per batch length (the full batch and the last one),
+    one gradient vector and the adadelta state. An MSE loss is not
+    recomputed: `backward`'s output - target goes to the batch's rows of the
+    epoch residuals, and the epoch loss is reduced from them as batch-by-batch
     losses would be. The gradient uses the same residual, so both come from
     one subtraction, and the history and `theta` keep their bits.
     """
@@ -412,33 +424,44 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
         raise ValueError(f"inputs ({x.shape[0]} rows) vs targets ({y.shape[0]} rows)")
     if x.shape[0] == 0:
         raise ValueError("training needs at least one row of finite inputs and targets")
-    n = x.shape[0]
-    size = cfg.batch_size
+    n, size, spec = x.shape[0], cfg.batch_size, net.spec
+    _check_input(spec, x[:size])  # the first batch, as a step would see it
+    if y.shape[1] != spec.output_dim:
+        raise ValueError(f"output {(min(size, n), spec.output_dim)} vs target {y[:size].shape}")
     rng = np.random.default_rng(seed)
     theta = net.theta
-    mse = net.spec.loss == "mse"
-    grad = np.empty_like(theta)
+    steps = np.zeros((2, theta.size))  # the gradient and adadelta's -delta
     state = np.zeros((2, theta.size))  # adadelta's eg2 and ed2
-    work = np.empty((3, theta.size))
+    roots = np.empty((2, theta.size))
     spaces = {m: net.workspace(m, dropout=True) for m in {min(size, n), n % size} if m}
-    residuals = np.empty((n, net.spec.output_dim))
+    xs = np.empty_like(x)  # the epoch's shuffled rows
+    ys = xs if y is x else np.empty_like(y)
+    residuals = np.empty((n, spec.output_dim))
+    mse = spec.loss == "mse"
+    batch_losses = []
+
+    def record_loss(output, target):
+        batch_losses.append(net.loss(output, target))
+
+    epoch_calls = []
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        cache = spaces[min(size, n - start)]
+        cache.inputs[0] = xs[rows]
+        epoch_calls += _forward_calls(net, cache, rng)
+        if not mse:
+            epoch_calls.append((record_loss, (cache.output, ys[rows])))
+        epoch_calls += _backward_calls(net, cache, ys[rows], residuals[rows], steps[0])
+        epoch_calls.append((adadelta_step, (theta, steps, state, roots)))
 
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        xs = x[order]
-        ys = xs if y is x else y[order]
-        batch_losses = []
-        for start in range(0, n, size):
-            stop = start + size
-            cache = spaces[min(size, n - start)]
-            if mse:
-                cache.residual = residuals[start:stop]
-            net.forward(xs[start:stop], rng=rng, out=cache)
-            if not mse:
-                batch_losses.append(net.loss(cache.output, ys[start:stop]))
-            net.backward(cache, ys[start:stop], out=grad)
-            adadelta_step(theta, grad, state, work)
+        np.take(x, order, 0, xs, "clip")  # "raise" would buffer the output
+        if ys is not xs:
+            np.take(y, order, 0, ys, "clip")
+        batch_losses.clear()
+        _run(epoch_calls)
         epoch_loss = _mse(residuals, size) if mse else float(np.mean(batch_losses))
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")

@@ -269,8 +269,7 @@ def balance_report(x, w, scores, n_strata: int = 5) -> BalanceReport:
 
     w must hold 0/1 labels with both arms present.
     """
-    if n_strata < 1:
-        raise ValueError(f"n_strata must be >= 1, got {n_strata}")
+    count(n_strata, "n_strata", 1)
     x = finite_matrix(x, "features")
     w = treatment(w, x.shape[0])
     scores = finite_vector(scores, "scores", x.shape[0])

@@ -214,15 +214,20 @@ def adadelta_textbook(eg2, ed2, grad):
 def adadelta_delta(eg2, ed2, grad):
     """The library's `adadelta_step` on a copy of the state: (delta, eg2', ed2').
 
-    It steps a parameter of -0.0, and -0.0 - s is exactly -s, signed zeros included.
+    It steps a parameter of -0.0, and -0.0 - s is exactly -s, signed zeros
+    included. The step leaves rho ed2' in state[1] and -delta in steps[1],
+    for the next step to add (1 - rho) delta^2 to; that sum, the ed2 which
+    the next step reads, is formed here as the library forms it. The
+    training tests hold the library's own sum to the per-tensor loop.
     """
     from deepmatch.network import adadelta_step
 
     grad = np.asarray(grad, dtype=float)
+    steps = np.array([grad, np.zeros(grad.shape)])
     state = np.array([eg2, ed2], dtype=float)
     delta = np.full(grad.shape, -0.0)
-    adadelta_step(delta, grad, state, np.empty((3,) + grad.shape))
-    return delta, state[0], state[1]
+    adadelta_step(delta, steps, state, np.empty(steps.shape))
+    return delta, state[0], state[1] + steps[1] * steps[1] * (1.0 - RHO)
 
 
 def train_per_tensor(net, x, y, cfg, seed):

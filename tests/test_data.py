@@ -424,3 +424,29 @@ def test_config_counts_must_be_integers(build, field, bad):
     build(np.int64(3))  # a NumPy integer is an integer
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
         build(bad)
+
+
+def _integer_arguments():
+    # name -> (call with the argument v, a good value, a bad value, the name in the message)
+    return {
+        "knn.k-float": (lambda v: matching.knn(_X, _X, v), 2, 2.5, "k"),
+        "knn.k-bool": (lambda v: matching.knn(_X, _X, v), 2, True, "k"),
+        "estimate_effects.k": (lambda v: matching.estimate_effects(_X, _W, _Y, k=v), 1, 1.5, "k"),
+        "estimate_effects_pooled.k": (
+            lambda v: matching.estimate_effects_pooled(_X, _W, _Y, _X, _W, _Y, k=v), 1, 1.5, "k"),
+        "balance_report.n_strata": (
+            lambda v: propensity.balance_report(_X, _W, _SCORES, n_strata=v), 2, 2.5, "n_strata"),
+        "fit_lle.k_neighbors": (
+            lambda v: embedding.fit_lle(_X, 1, k_neighbors=v), 4, 4.5, "k_neighbors"),
+        "fit_pca.m": (lambda v: embedding.fit_pca(_X, v), 1, 1.5, "target dimension"),
+        "gen_propensity_pairs.n": (lambda v: gen_propensity_pairs(v, 0.1, 0), 3, 2.5, "n"),
+        "train_test_split.n": (lambda v: train_test_split(v, 0.2, 0), 10, 2.5, "n"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_integer_arguments()))
+def test_integer_arguments_rejected_where_they_enter(entry):
+    call, good, bad, name = _integer_arguments()[entry]
+    call(np.int64(good))  # a NumPy integer is an integer
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        call(bad)

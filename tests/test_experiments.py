@@ -1,12 +1,16 @@
 """Config parsing, experiment runners, output files, and the CLI."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepmatch
 from deepmatch import experiments
 from deepmatch.cli import main
 from deepmatch.data import SwissRollConfig, gen_swiss_roll
@@ -649,3 +653,36 @@ def test_readme_config_blocks_are_the_defaults():
     assert sorted(d["experiment"] for d in docs) == sorted(parsers)
     for doc in docs:
         assert parsers[doc["experiment"]](doc) == defaults[doc["experiment"]]
+
+
+# Byte identity is promised at a fixed BLAS thread count. Across counts a
+# product in LLE's block Cholesky may round differently (from about n =
+# 3,500 on this design), and the Ritz vectors inherit it: at seed 7 the
+# largest change was 1.7e-8, with coordinates up to 0.040. The bound below,
+# 1e-5 of the largest coordinate, leaves a factor of 20 on that.
+BLAS_EMBEDDING_TOLERANCE = 1e-5
+
+
+def test_blas_thread_count_keeps_reports_and_bounds_embeddings(tmp_path):
+    cfg = tmp_path / "swissroll.json"
+    cfg.write_text(json.dumps({"dataset": {"n": 3500}, "autoencoder": {"epochs": 20}}))
+    src = str(Path(deepmatch.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"threads_{threads}")
+        done = subprocess.run(
+            [sys.executable, "-m", "deepmatch.cli", "swissroll", "--config", str(cfg),
+             "--seed", "7", "--out", str(outs[-1])],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+    assert (outs[0] / "reports.json").read_bytes() == (outs[1] / "reports.json").read_bytes()
+    for method in SwissRollRun().methods:
+        one, two = (np.genfromtxt(out / f"embedding_{method}.csv", delimiter=",", dtype=str)
+                    for out in outs)
+        assert (one[:, :4] == two[:, :4]).all(), method  # header, index, split, group, arm
+        z1, z2 = one[1:, 4:].astype(float), two[1:, 4:].astype(float)
+        assert np.abs(z1 - z2).max() <= BLAS_EMBEDDING_TOLERANCE * np.abs(z1).max(), method

@@ -192,6 +192,12 @@ class TestMisassignment:
         with pytest.raises(ValueError, match="non-empty"):
             misassignment_report(none, none, np.array([1, 0]), np.array([1]), np.array([1]))
 
+    def test_empty_heldout_set_rejected_before_any_mean(self):
+        # the warning filter turns numpy's "Mean of empty slice" into a failure
+        none = np.array([], dtype=int)
+        with pytest.raises(ValueError, match="held-out set is empty"):
+            misassignment_report(np.array([0]), np.array([1]), np.array([1, 0]), none, none)
+
     def test_unaligned_queries_and_matches_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             misassignment_report(

@@ -1,9 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from deepmatch import network
 from deepmatch.embedding import autoencoder_spec
 from deepmatch.gradcheck import default_grid
 from deepmatch.network import (
@@ -13,7 +15,6 @@ from deepmatch.network import (
     TrainConfig,
     TrainingDiverged,
     adadelta_step,
-    apply_dropout,
     init_network,
     train,
 )
@@ -214,21 +215,28 @@ class TestForward:
             net.predict(np.zeros((4, 5)))
 
 
+def dropout_net(width, rate, h):
+    # layer 0 outputs h in every unit (zero weights, bias h) and drops it at `rate`
+    spec = NetworkSpec((LayerSpec(1, width, dropout_rate=rate), LayerSpec(width, 1)))
+    net = Network(spec, np.zeros(spec.param_count))
+    net.biases[0][...] = h
+    return net
+
+
 class TestDropoutMask:
     def test_mask_values_are_zero_or_scale(self):
-        rng = np.random.default_rng(0)
-        _, mask = apply_dropout(np.ones((100, 100)), 0.3, rng, (np.empty((100, 100)),) * 2)
-        assert set(np.unique(mask)) == {0.0, 1.0 / 0.7}
+        cache = dropout_net(100, 0.3, 1.0).forward(np.ones((100, 1)), rng=np.random.default_rng(0))
+        assert set(np.unique(cache.masks[0])) == {0.0, 1.0 / 0.7}
+        assert np.array_equal(cache.inputs[1], cache.hidden[0] * cache.masks[0])
 
     def test_inverted_scaling_preserves_expectation(self):
         rng = np.random.default_rng(0)
-        h = np.full((1, 1000), 2.0)
+        net = dropout_net(1000, 0.3, 2.0)
         reps = 400
-        acc = np.zeros_like(h)
-        out = (np.empty(h.shape), np.empty(h.shape))
+        acc = np.zeros((1, 1000))
+        ws = net.workspace(1, dropout=True)
         for _ in range(reps):
-            dropped, _ = apply_dropout(h, 0.3, rng, out)
-            acc += dropped
+            acc += net.forward(np.ones((1, 1)), rng=rng, out=ws).inputs[1]
         est = acc.mean() / reps
         # Monte-Carlo std of the grand mean
         sd = 2.0 * math.sqrt(0.3 / 0.7) / math.sqrt(1000 * reps)
@@ -375,7 +383,7 @@ class TestAdadelta:
     def test_zero_gradient_keeps_params_and_decays_ed2(self):
         net = Network(NetworkSpec((LayerSpec(1, 1),)), np.array([1.0, -2.0]))
         state = np.array([[0.0, 0.0], [0.4, 0.8]])  # eg2, ed2
-        adadelta_step(net.theta, np.zeros(2), state, np.empty((3, 2)))
+        adadelta_step(net.theta, np.zeros((2, 2)), state, np.empty((2, 2)))
         (w, b), = net.split(net.theta)
         assert w[0, 0] == 1.0 and b[0] == -2.0
         assert np.array_equal(state[0], np.zeros(2))
@@ -454,6 +462,42 @@ class TestTrain:
         assert (flat.theta == per_tensor.theta).all()
         for w, b in zip(flat.weights, flat.biases):
             assert np.shares_memory(w, flat.theta) and np.shares_memory(b, flat.theta)
+
+    def test_nothing_built_for_one_fit_leaks_into_the_next(self):
+        # each fit builds its own steps: a fit of another spec and batch length
+        # between two equal fits leaves the second with the first's bits
+        x = np.random.default_rng(13).standard_normal((70, 3))
+        other = NetworkSpec((LayerSpec(3, 6, activation="relu", dropout_rate=0.25),
+                             LayerSpec(6, 3, activation="sigmoid")))
+        runs = []
+        for spec, cfg in [(autoencoder_spec(3, 2), TrainConfig(epochs=4)),
+                          (other, TrainConfig(epochs=3, batch_size=9)),
+                          (autoencoder_spec(3, 2), TrainConfig(epochs=4))]:
+            net = init_network(spec, seed=2)
+            runs.append((train(net, x, x, cfg, seed=5), net.theta))
+        assert runs[2][0] == runs[0][0]
+        assert (runs[2][1] == runs[0][1]).all()
+
+    @pytest.mark.parametrize(
+        "spec, inputs, targets, message",
+        [
+            (autoencoder_spec(3, 2), (40, 5), (40, 3),
+             "input must be 2-D with 3 columns, got shape (32, 5)"),
+            (autoencoder_spec(3, 2), (40, 3), (40, 4), "output (32, 3) vs target (32, 4)"),
+            (autoencoder_spec(3, 2), (20, 3), (20, 2), "output (20, 3) vs target (20, 2)"),
+            (build_propensity_net(3), (40, 3), (40, 3), "output (32, 2) vs target (32, 3)"),
+        ],
+        ids=["input_width", "target_width", "target_width_one_batch", "classifier_target_width"],
+    )
+    def test_wrong_widths_rejected_before_any_step(self, monkeypatch, spec, inputs, targets,
+                                                   message):
+        net = init_network(spec, seed=0)
+        theta = net.theta.copy()
+        steps = []
+        monkeypatch.setattr(network, "adadelta_step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(net, np.ones(inputs), np.ones(targets), TrainConfig(epochs=1), seed=0)
+        assert steps == [] and np.array_equal(net.theta, theta)
 
     def test_bottleneck_reconstruction_loss_drops(self):
         x = plane_points(n=200, seed=10, scale=0.5)

@@ -52,12 +52,14 @@ def finite_vector(v, what: str, n: int | None = None) -> np.ndarray:
     return v
 
 
-def count(value, what: str, least: int) -> None:
-    """Check that `value` is an integer, NumPy's too but never a bool, of at least `least`."""
+def count(value, what: str, least: int, most: int | None = None) -> None:
+    """Check that `value` is an integer, NumPy's too but never a bool, in [least, most]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be <= {most}, got {value}")
 
 
 def treatment(w, n: int, both_arms: bool = True) -> np.ndarray:

@@ -17,6 +17,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -365,9 +366,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, columns) -> None:
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-    path.write_text("\n".join(lines) + "\n")
+    # the whole table is one %-format; "%s" % v is str(v) for every value
+    lists = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(["%s"] * len(lists)) + "\n"
+    body = row * (len(lists[0]) if lists else 0) % tuple(chain.from_iterable(zip(*lists)))
+    path.write_text(",".join(header) + "\n" + body)
 
 
 # The per-method files of every experiment: a forced rerun removes those it did not write.

@@ -2,9 +2,9 @@
 
 Matching is exact Euclidean search (no approximation), so results are
 deterministic and agree bit for bit with a plain scan. The search is pruned:
-a Z-order bound on each query's k-th distance limits it to a window of pool
-rows along one axis, and no row at or below that distance can lie outside
-the window (see `knn`). Every neighbor search in the library (effect
+a Z-order bound on each query's k-th distance limits it to its own window of
+pool rows along one axis, and no row at or below that distance can lie
+outside the window (see `knn`). Every neighbor search in the library (effect
 matching, score matching, LLE) runs through this one kernel, `knn`. Each
 public function checks its whole input where it enters, through `data`'s
 rules: representations by `finite_matrix`, labels by `treatment`, and
@@ -49,59 +49,88 @@ class EffectEstimate:
         return float(np.mean(self.ite))
 
 
-# distances one scan block may hold at once; bounds the kernel's scratch memory
-_BLOCK_ENTRIES = 1 << 16
-# queries that share one axis window
-_QUERY_BLOCK = 128
+# distances one scan group may hold at once; bounds the kernel's scratch memory
+_BLOCK_ENTRIES = 1 << 15
 # below this gap a squared difference leaves the normal range (see propensity_match)
 _UNDERFLOW_GAP = 1.5e-154
 
 
-def _distances(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Kernel distances sqrt(sum((p-q)^2)) over the last axis of broadcast q and p.
+def _distances(q: np.ndarray, p: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
+    """Kernel distances sqrt(sum((p-q)^2)) over the first axis, the coordinates, of q and p.
 
-    Summed one coordinate at a time left to right, so every entry has the bits
-    of a plain scalar scan (numpy's vectorized sum reassociates terms).
+    With `slots`, each coordinate of p is gathered at those places as it is
+    summed. Summed one coordinate at a time left to right, so every entry has
+    the bits of a plain scalar scan (numpy's vectorized sum reassociates terms).
     """
-    dist = np.zeros(np.broadcast_shapes(q.shape, p.shape)[:-1])
+    shape = p.shape[1:] if slots is None else slots.shape
+    dist = np.zeros(np.broadcast_shapes(q.shape[1:], shape))
     delta = np.empty_like(dist)
-    for c in range(q.shape[-1]):
-        np.subtract(p[..., c], q[..., c], out=delta)
+    for c in range(q.shape[0]):
+        pc = p[c] if slots is None else p[c].take(slots, mode="clip", out=delta)
+        np.subtract(pc, q[c], out=delta)
         np.multiply(delta, delta, out=delta)
         dist += delta
     return np.sqrt(dist, out=dist)
 
 
 def _morton(x: np.ndarray, lo: np.ndarray, span: np.ndarray, bits: int) -> np.ndarray:
-    """Z-order keys of x's rows: `bits` bits of each coordinate's cell, interleaved.
+    """Z-order keys of x's columns: `bits` bits of each coordinate's cell, interleaved.
 
-    Cells divide the range [lo, lo + 2*span] evenly, and coordinates outside it
-    clip to its edge cells. Halving before subtracting keeps every value finite.
+    Cells split each row's range [lo, lo + 2*span] evenly; values outside clip to the
+    edge cells. Halving before subtracting keeps every value finite.
     """
-    unit = np.clip(x / 2 - lo / 2, 0, span) / span
-    cells = np.minimum(unit * (1 << bits), (1 << bits) - 1).astype(np.int64)
-    key = np.zeros(x.shape[0], dtype=np.int64)
+    unit = np.clip(x / 2 - lo / 2, 0, span) / span * (1 << bits)
+    cells = np.minimum(unit, (1 << bits) - 1, out=unit).astype(np.int64)
+    # spread[v]: v's bit b moved to place b*d, so coordinate c's land at b*d + c
+    spread = np.zeros(1, dtype=np.int64)
     for b in range(bits):
-        for c in range(x.shape[1]):
-            key |= ((cells[:, c] >> b) & 1) << (b * x.shape[1] + c)
-    return key
+        spread = np.concatenate([spread, spread | 1 << b * x.shape[0]])
+    return (spread[cells] << np.arange(x.shape[0])[:, None]).sum(axis=0)
 
 
-def _scan(block: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k nearest pool rows of each block row, by a full scan of `pool`."""
-    dist = _distances(block[:, None, :], pool[None, :, :])
+def _positions(ascending: np.ndarray, v: np.ndarray, side: str = "left") -> np.ndarray:
+    """np.searchsorted(ascending, v, side), run on v in sorted order, where it is faster."""
+    order = np.argsort(v)
+    out = np.empty(v.shape[0], dtype=np.intp)
+    out[order] = np.searchsorted(ascending, v[order], side)
+    return out
+
+
+def _scan(dist: np.ndarray, col: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(col, dist) of the k least (dist, col) entries of each row; a row's cols are distinct."""
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
     near = dist <= kth
     if np.count_nonzero(near) > 2 * k * dist.shape[0]:
-        # heavy ties: the strictly closer, then the lowest-index tied, k per row
-        closer = dist < kth
-        tied = near & ~closer
-        near = closer | (tied & (np.cumsum(tied, axis=1) <= k - closer.sum(axis=1, keepdims=True)))
+        # heavy ties: the strictly closer, and each row's k lowest-index tied
+        tied = dist == kth
+        last = np.where(tied, col, np.iinfo(col.dtype).max)
+        last.partition(k - 1, axis=1)
+        near = (dist < kth) | (tied & (col <= last[:, k - 1 : k]))
     # candidates by (row, distance, index); each row's first k win
-    row, col = np.nonzero(near)
-    order = np.lexsort((col, dist[row, col], row))
-    pick = order[np.searchsorted(row, np.arange(dist.shape[0]))[:, None] + np.arange(k)]
-    return col[pick], dist[row[pick], col[pick]]
+    row, slot = np.nonzero(near)
+    order = np.lexsort((col[row, slot], dist[row, slot], row))
+    pick = order[np.flatnonzero(np.diff(row, prepend=-1))[:, None] + np.arange(k)]
+    return col[row[pick], slot[pick]], dist[row[pick], slot[pick]]
+
+
+def _zorder_bound(q: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
+    """Each query's k-th smallest distance to the 2k pool rows next to it in Z-order."""
+    n_pool = p.shape[1]
+    lo = p.min(axis=1, keepdims=True)
+    span = p.max(axis=1, keepdims=True) / 2 - lo / 2
+    span[span == 0] = 1.0
+    # 10 bits per coordinate, fewer where the key would not fit in an int64
+    keys = _morton(np.concatenate([p, q], axis=1), lo, span, min(10, 63 // p.shape[0]))
+    by_key = np.argsort(keys[:n_pool])
+    width = min(2 * k, n_pool)
+    first = np.clip(_positions(keys[by_key], keys[n_pool:]) - k, 0, n_pool - width)
+    r = np.empty(q.shape[1])
+    step = max(1, _BLOCK_ENTRIES // width)
+    for s in range(0, q.shape[1], step):
+        near = by_key[first[s : s + step, None] + np.arange(width)]
+        r[s : s + step] = np.partition(
+            _distances(q[:, s : s + step, None], p, near), k - 1, axis=1)[:, k - 1]
+    return r
 
 
 def knn(queries: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,60 +142,50 @@ def knn(queries: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.n
 
     The search is pruned, never approximate. Each query's k-th distance is
     bounded above by r, the k-th smallest distance to the 2k pool rows next to
-    it in Z-order (Morton 1966): any k pool rows give a valid bound, so the key
-    only affects speed. Queries then go in blocks of _QUERY_BLOCK, in order of
-    the pool's widest coordinate, and each block scans only the pool rows whose
-    coordinate a on that axis lies within pad = r*(1 + 1e-9) + 1.5e-154 of some
-    block query's. No row at or below the k-th distance falls outside: a
-    left-to-right sum of squares is never below its axis term, so such a row's
-    axis gap is at most its distance, up to a few roundings that the 1e-9
-    covers, or is below 1.5e-154, where its square underflows. The scanned
-    distances have the same bits as a full scan, and the window, kept in pool
-    order, holds the same ties. A scan block holds at most _BLOCK_ENTRIES
-    distances, or one query.
+    it in Z-order (Morton 1966); any k rows give a valid bound, so the key only
+    affects speed. A query scans only its window, the pool rows whose coordinate
+    on the pool's widest axis is within r*(1 + 1e-9) + 1.5e-154 of its own. No
+    row at or below the k-th distance falls outside: a left-to-right sum of
+    squares is never below its axis term, so such a row's axis gap is at most
+    its distance, up to roundings that the 1e-9 covers, or is below 1.5e-154,
+    where its square underflows. Queries go in groups by window width; a group
+    pads each window with inf to its widest, at most twice its narrowest, and
+    holds at most _BLOCK_ENTRIES distances, or one query.
     """
     queries = finite_matrix(queries, "queries")
     pool = finite_matrix(pool, "pool", queries.shape[1])
-    n_pool = pool.shape[0]
+    n_queries, n_pool = queries.shape[0], pool.shape[0]
     count(k, "k", 1)
     if k > n_pool:
         raise ValueError(f"k must be in [1, {n_pool}] (pool size), got {k}")
-    indices = np.empty((queries.shape[0], k), dtype=np.intp)
-    distances = np.empty((queries.shape[0], k))
-    if pool.shape[1] == 0:  # no coordinates: every distance is 0, as with one zero column
-        queries, pool = np.zeros((queries.shape[0], 1)), np.zeros((n_pool, 1))
-    lo = pool.min(axis=0)
-    span = pool.max(axis=0) / 2 - lo / 2
-    axis = int(np.argmax(span))
-    span[span == 0] = 1.0
-    # 10 bits per coordinate, fewer where the key would not fit in an int64
-    bits = min(10, 63 // pool.shape[1])
-    pool_keys = _morton(pool, lo, span, bits)
-    by_key = np.argsort(pool_keys, kind="stable")
-    # each query's bound rows: `width` consecutive places in Z-order, around its own key
-    width = min(2 * k, n_pool)
-    first = np.searchsorted(pool_keys[by_key], _morton(queries, lo, span, bits)) - k
-    first = np.clip(first, 0, n_pool - width)
-    by_axis = np.argsort(pool[:, axis], kind="stable")
-    pool_axis = pool[by_axis, axis]
-    by_query_axis = np.argsort(queries[:, axis], kind="stable")
-    step = max(1, min(_QUERY_BLOCK, _BLOCK_ENTRIES // width))
-    for start in range(0, queries.shape[0], step):
-        rows = by_query_axis[start : start + step]
-        block = queries[rows]
-        near = pool[by_key[first[rows, None] + np.arange(width)]]
-        r = np.partition(_distances(block[:, None, :], near), k - 1, axis=1)[:, k - 1]
-        pad = r * (1 + 1e-9) + _UNDERFLOW_GAP
-        a = block[:, axis]
-        left = np.searchsorted(pool_axis, np.min(a - pad))
-        right = np.searchsorted(pool_axis, np.max(a + pad), side="right")
-        window = np.sort(by_axis[left:right])
-        scanned = pool[window]
-        sub = max(1, _BLOCK_ENTRIES // window.shape[0])
-        for s in range(0, rows.shape[0], sub):
-            idx, dist = _scan(block[s : s + sub], scanned, k)
-            indices[rows[s : s + sub]] = window[idx]
-            distances[rows[s : s + sub]] = dist
+    # one row per coordinate from here on, each a contiguous array
+    q, p = queries.T.copy(), pool.T.copy()
+    if p.shape[0] == 0:  # no coordinates: every distance is 0, as with one zero column
+        q, p = np.zeros((1, n_queries)), np.zeros((1, n_pool))
+    # the pool in order of its widest coordinate (halved, so no difference
+    # overflows); each query's window is a slice [left, right) of that order
+    axis = int(np.argmax(p.max(axis=1) / 2 - p.min(axis=1) / 2))
+    by_axis = np.argsort(p[axis])
+    p = p[:, by_axis]
+    pad = _zorder_bound(q, p, k) * (1 + 1e-9) + _UNDERFLOW_GAP
+    left = _positions(p[axis], q[axis] - pad)
+    right = _positions(p[axis], q[axis] + pad, side="right")
+    order = np.argsort(right - left)
+    size = (right - left)[order]
+    indices = np.empty((n_queries, k), dtype=np.intp)
+    distances = np.empty((n_queries, k))
+    start = 0
+    while start < n_queries:
+        # sizes ascend, so a group's last window is its widest
+        stop = np.searchsorted(size, 2 * size[start], side="right")
+        stop = min(stop, start + max(1, _BLOCK_ENTRIES // size[start]))
+        stop = start + max(1, min(stop - start, _BLOCK_ENTRIES // size[stop - 1]))
+        rows = order[start:stop]
+        slots = left[rows, None] + np.arange(size[stop - 1])
+        dist = _distances(q.take(rows, axis=1)[:, :, None], p, slots)
+        dist[slots >= right[rows, None]] = np.inf
+        indices[rows], distances[rows] = _scan(dist, by_axis.take(slots, mode="clip"), k)
+        start = stop
     return indices, distances
 
 
@@ -176,6 +195,7 @@ def nearest_opposite(
     """(indices, distances) of unit i's k nearest opposite-arm units in z, nearest first."""
     z = finite_matrix(z, "representations z")
     w = treatment(w, z.shape[0])
+    count(i, "i", 0, z.shape[0] - 1)
     opp = np.flatnonzero(w != w[i])
     idx, d = knn(z[i : i + 1], z[opp], k)
     return opp[idx[0]], d[0]
@@ -241,8 +261,7 @@ def propensity_match(scores, w, query_arm: int = 1) -> tuple[np.ndarray, np.ndar
     controls; query_arm=0 runs the symmetric direction.
     """
     scores = finite_vector(scores, "scores")
-    if query_arm not in (0, 1):
-        raise ValueError(f"query_arm must be 0 or 1, got {query_arm}")
+    count(query_arm, "query_arm", 0, 1)
     w = treatment(w, scores.shape[0])
     queries = np.flatnonzero(w == query_arm)
     cand = np.flatnonzero(w != query_arm)

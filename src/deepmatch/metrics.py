@@ -155,7 +155,7 @@ def silhouette(z: np.ndarray, labels: np.ndarray) -> float:
     if uniq.shape[0] < 2:
         raise ValueError("silhouette needs at least two distinct labels")
     n = z.shape[0]
-    dist = _distances(z[:, None, :], z[None, :, :])
+    dist = _distances(z.T[:, :, None], z.T[:, None, :])
 
     sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
     counts = np.array([(labels == c).sum() for c in uniq])

@@ -686,3 +686,19 @@ def test_blas_thread_count_keeps_reports_and_bounds_embeddings(tmp_path):
         assert (one[:, :4] == two[:, :4]).all(), method  # header, index, split, group, arm
         z1, z2 = one[1:, 4:].astype(float), two[1:, 4:].astype(float)
         assert np.abs(z1 - z2).max() <= BLAS_EMBEDDING_TOLERANCE * np.abs(z1).max(), method
+
+
+@pytest.mark.parametrize("n_rows", [5, 0])
+def test_csv_bytes_are_the_row_join_of_each_value_str(tmp_path, n_rows):
+    header = ["i", "arm", "flag", "x"]
+    columns = (
+        np.arange(5),
+        np.array(["treated", "control", "a b", "", "x"], dtype=object),
+        np.array([True, False, True, True, False]),
+        np.array([-0.0, 0.1, 1e-5, 1e16, 5e-324]),
+    )
+    columns = [c[:n_rows] for c in columns]
+    experiments._write_csv(tmp_path / "t.csv", header, columns)
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    want = "\n".join([",".join(header), *(",".join(map(str, row)) for row in rows)]) + "\n"
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()

@@ -79,10 +79,10 @@ KNN_PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadl
 
 class TestKnnProperties:
     @KNN_PROPERTY
-    @given(case=knn_cases(), query_block=st.sampled_from([1, 2, 128]))
-    def test_agrees_with_scan_oracle(self, case, query_block):
-        # small query blocks give each query a window of its own
-        with mock.patch.object(matching, "_QUERY_BLOCK", query_block):
+    @given(case=knn_cases(), block_entries=st.sampled_from([1, 40, 1 << 16]))
+    def test_agrees_with_scan_oracle(self, case, block_entries):
+        # small budgets split the queries into many groups, down to one query each
+        with mock.patch.object(matching, "_BLOCK_ENTRIES", block_entries):
             assert_scan_exact(*case)
 
     @settings(KNN_PROPERTY, max_examples=25)
@@ -116,9 +116,9 @@ class TestKnnProperties:
         scan = matching._scan
         shapes = []
 
-        def recording_scan(block, pool, k):
-            shapes.append((block.shape[0], pool.shape[0]))
-            return scan(block, pool, k)
+        def recording_scan(dist, col, k):
+            shapes.append(dist.shape)
+            return scan(dist, col, k)
 
         monkeypatch.setattr(matching, "_scan", recording_scan)
         for case, (want_idx, want_dist) in zip(cases, want):
@@ -129,6 +129,44 @@ class TestKnnProperties:
 
 
 class TestKnnKernel:
+    def test_twin_queries_agree_with_scan(self):
+        # every query has a zero-distance duplicate in the pool, as in twin mode
+        ds = duplicate_twins(gen_swiss_roll(SwissRollConfig(n=150), seed=35))
+        for z in (ds.x, ds.x[:, :2]):
+            queries, pool = z[ds.w == 1], z[ds.w == 0]
+            for k in (1, 2, 5):
+                idx, dist = knn(queries, pool, k)
+                assert dist[:, 0].tolist() == [0.0] * queries.shape[0]
+                for r in range(queries.shape[0]):
+                    assert (idx[r].tolist(), dist[r].tolist()) == scan_pool(queries[r], pool, k)
+
+    def test_outlier_leaves_other_windows_unchanged(self, monkeypatch):
+        # the pool is widest along x, and the outlier lies far off along y, so its
+        # window spans the whole pool; the other queries' windows stay as they were
+        rng = np.random.default_rng(36)
+        pool = rng.random((2000, 2)) * [2.0, 1.0]
+        queries = rng.random((300, 2)) * [2.0, 1.0]
+        scan = matching._scan
+        windows = []
+
+        def recording_scan(dist, col, k):
+            windows.extend(np.isfinite(dist).sum(axis=1).tolist())
+            return scan(dist, col, k)
+
+        monkeypatch.setattr(matching, "_scan", recording_scan)
+        want = knn(queries, pool, 3)
+        alone = sorted(windows)
+        windows.clear()
+        idx, dist = knn(np.vstack([queries[:150], [[1.0, 50.0]], queries[150:]]), pool, 3)
+        assert np.array_equal(np.delete(idx, 150, axis=0), want[0])
+        assert np.array_equal(np.delete(dist, 150, axis=0), want[1])
+        assert sorted(windows) == sorted(alone + [pool.shape[0]])
+
+    def test_zero_queries_return_empty_arrays(self):
+        idx, dist = knn(np.zeros((0, 3)), np.ones((5, 3)), 2)
+        assert idx.shape == dist.shape == (0, 2)
+        assert idx.dtype == np.intp and dist.dtype == np.float64
+
     @pytest.mark.parametrize("block_entries", [1 << 16, 40, 1])
     def test_matches_scan_oracle_with_heavy_ties(self, monkeypatch, block_entries):
         # small block budgets force one query (or a few) per block
@@ -248,6 +286,27 @@ class TestNearestOpposite:
         z = np.zeros((3, 1))
         with pytest.raises(ValueError, match="k must"):
             nearest_opposite(z, np.array([1, 0, 1]), 0, k=2)
+
+
+_Z6, _W6 = np.arange(12.0).reshape(6, 2), np.array([1, 0, 1, 0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "call, good, bad, name",
+    [
+        (lambda v: nearest_opposite(_Z6, _W6, v), 5, 6, "i"),
+        (lambda v: nearest_opposite(_Z6, _W6, v), 0, -1, "i"),
+        (lambda v: nearest_opposite(_Z6, _W6, v), 2, 2.5, "i"),
+        (lambda v: nearest_opposite(_Z6, _W6, v), 1, True, "i"),
+        (lambda v: propensity_match(_Z6[:, 0], _W6, v), 1, True, "query_arm"),
+        (lambda v: propensity_match(_Z6[:, 0], _W6, v), 1, 1.0, "query_arm"),
+    ],
+    ids=["i-past-end", "i-negative", "i-float", "i-bool", "query_arm-bool", "query_arm-float"],
+)
+def test_unit_and_arm_arguments_rejected_where_they_enter(call, good, bad, name):
+    call(np.int64(good))  # a NumPy integer is an integer
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(bad)
 
 
 class TestEstimateEffects:

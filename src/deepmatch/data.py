@@ -22,6 +22,7 @@ and the configs' integer fields to integers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +161,11 @@ class SwissRollConfig:
         scalars = (self.noise_sigma, self.outcome_noise_sigma, self.p_treat)
         if not all(math.isfinite(v) for v in scalars):
             raise ValueError("config scalars must be finite")
-        if not all(math.isfinite(c) for c in self.coeff_control + self.coeff_treated):
-            raise ValueError("outcome coefficients must be finite")
+        for name in ("coeff_control", "coeff_treated"):
+            c = getattr(self, name)
+            if not (isinstance(c, tuple) and len(c) == 3 and all(isinstance(v, numbers.Real)
+                    and not isinstance(v, bool) and math.isfinite(v) for v in c)):
+                raise ValueError(f"{name} must be a tuple of 3 finite numbers, got {c!r}")
         if self.noise_sigma < 0 or self.outcome_noise_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
         if not 0.0 <= self.p_treat <= 1.0:

@@ -167,11 +167,8 @@ class AutoencoderEmbedder(Embedder):
         bottleneck = self.network.spec.layers[self.n_encoder_layers - 1]
         object.__setattr__(self, "m", bottleneck.fan_out)
 
-    def _encode(self, z: np.ndarray) -> np.ndarray:
-        return self.network.forward(z).inputs[self.n_encoder_layers]
-
     def _map(self, x: np.ndarray) -> np.ndarray:
-        return self._encode((x - self.mean) / self.scale)
+        return self.network.forward((x - self.mean) / self.scale).inputs[self.n_encoder_layers]
 
 
 def autoencoder_spec(d: int, m: int, hidden: tuple[int, ...] = ()) -> NetworkSpec:

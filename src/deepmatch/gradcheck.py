@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
 from .network import LayerSpec, Network, NetworkSpec, init_network
 
 
@@ -51,8 +52,7 @@ class GradCheckCase:
 
 def default_grid(count: int = 24, seed: int = 0) -> list[GradCheckCase]:
     """Randomized small specs covering every activation and both losses."""
-    if count < 1:
-        raise ValueError("grid must contain at least one case")
+    data.count(count, "count", 1)
     rng = np.random.default_rng(seed)
     hidden_acts = ("identity", "relu", "sigmoid", "tanh")
     cases = []

@@ -9,7 +9,8 @@ matching, score matching, LLE) runs through this one kernel, `knn`. Each
 public function checks its whole input where it enters, through `data`'s
 rules: representations by `finite_matrix`, labels by `treatment`, and
 outcomes and scores by `finite_vector`, so a non-finite row is rejected
-even in an arm that no query matches into. Neighbors come back only as
+even in an arm that no query matches into; `knn` also rejects rows spread
+so wide that a distance could overflow. Neighbors come back only as
 index arrays: `knn`'s (indices, distances), one query's row of them from
 `nearest_opposite`, and (queries, matched) from `propensity_match`. Every
 unit gets its k matches, so each estimated effect is finite. The unit-level
@@ -53,6 +54,21 @@ class EffectEstimate:
 _BLOCK_ENTRIES = 1 << 15
 # below this gap a squared difference leaves the normal range (see propensity_match)
 _UNDERFLOW_GAP = 1.5e-154
+
+
+def _check_span(a: np.ndarray, b: np.ndarray, what: str) -> None:
+    """Reject points, the columns of a and b, whose bounding box has a diagonal past 2^511.
+
+    Up to it, about 6.7e153, a sum of squared gaps is at most 2^1022, a quarter
+    of the largest float; past 2^512 a distance can overflow, and every
+    farther point then ties with it at inf. Halved spans, scaled by 2^-600,
+    keep the check's own squares finite.
+    """
+    lo = np.minimum(a.min(axis=1, initial=np.inf), b.min(axis=1, initial=np.inf))
+    hi = np.maximum(a.max(axis=1, initial=-np.inf), b.max(axis=1, initial=-np.inf))
+    if np.square((hi / 2 - lo / 2) * 2.0**-600).sum() > 2.0**-180:  # half-diagonal 2^510
+        raise ValueError(f"{what} span too wide: the diagonal of the bounding box passes "
+                         "2^511 (about 6.7e153), where a squared distance could overflow")
 
 
 def _distances(q: np.ndarray, p: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
@@ -160,6 +176,7 @@ def knn(queries: np.ndarray, pool: np.ndarray, k: int) -> tuple[np.ndarray, np.n
         raise ValueError(f"k must be in [1, {n_pool}] (pool size), got {k}")
     # one row per coordinate from here on, each a contiguous array
     q, p = queries.T.copy(), pool.T.copy()
+    _check_span(q, p, "queries and pool")
     if p.shape[0] == 0:  # no coordinates: every distance is 0, as with one zero column
         q, p = np.zeros((1, n_queries)), np.zeros((1, n_pool))
     # the pool in order of its widest coordinate (halved, so no difference

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroundTruth, finite_matrix, finite_vector, treatment
-from .matching import EffectEstimate, _distances
+from .matching import EffectEstimate, _check_span, _distances
 
 # Previously reported results for the jittered-pairs benchmark, as
 # (mean abs misassignment error %, misassignment rate %, accuracy %).
@@ -154,6 +154,7 @@ def silhouette(z: np.ndarray, labels: np.ndarray) -> float:
     uniq = np.unique(labels)
     if uniq.shape[0] < 2:
         raise ValueError("silhouette needs at least two distinct labels")
+    _check_span(z.T, z.T, "embedding z")
     n = z.shape[0]
     dist = _distances(z.T[:, :, None], z.T[:, None, :])
 

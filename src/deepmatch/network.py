@@ -2,25 +2,25 @@
 
 A network is `Network(spec, theta)`: a `NetworkSpec` plus one float64 vector
 holding every weight and bias. Everything is plain numpy: Glorot-uniform
-initialization, a forward pass with inverted dropout (dropout iff an rng is
-passed), exact layer-by-layer gradients for mean squared error and categorical
-cross-entropy, the adadelta update rule, and a mini-batch training loop.
-No autodiff framework is involved; the finite-difference harness in
-`gradcheck` exists precisely to keep these gradients honest.
+initialization, exact layer-by-layer gradients for mean squared error and
+categorical cross-entropy, which `gradcheck` holds to finite differences,
+the adadelta update rule, and a mini-batch training loop, the one place
+where inverted dropout runs.
 
 A training step on small layers is numpy call overhead, not arithmetic. So
 a pass is built first, as a list of (numpy function, arguments) pairs bound
 to the arrays of a `ForwardPass` workspace with positional `out` arguments,
-and then run by one loop. `forward` and `backward` build and run theirs in
-one call, for `predict` and `gradcheck`; `train` builds every batch's whole
-step, forward, backward and the adadelta update, once per fit, over views of
-one buffer into which each epoch gathers its shuffled rows, and then only
-runs it. Products use `np.dot`, the same dgemm as `@` for any operand with a
-unit stride, at less cost per call. None of this moves a bit: every array is
-formed by the same operations, in the same order, as when it was freshly
-allocated, and an output buffer does not change how numpy evaluates an
-operation. Two rewrites are exact: a multiplication by the identity's
-derivative, 1.0, is skipped, and the MSE's 2 r / B is formed as r / (B / 2).
+and then run by one loop. `forward` and `backward` build and run an
+eval-mode pass over fresh arrays; `train` builds every batch's whole step,
+forward with dropout, backward and the adadelta update, once per fit, over
+views of one buffer into which each epoch gathers its shuffled rows, and
+then only runs it. Products use `np.dot`, the same dgemm as `@` for any
+operand with a unit stride, at less cost per call. None of this moves a bit:
+every array is formed by the same operations, in the same order, as when it
+was freshly allocated, and an output buffer does not change how numpy
+evaluates an operation. Two rewrites are exact: a multiplication by the
+identity's derivative, 1.0, is skipped, and the MSE's 2 r / B is formed as
+r / (B / 2).
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class LayerSpec:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if self.fan_in < 1 or self.fan_out < 1:
-            raise ValueError(f"layer dims must be >= 1, got {self.fan_in}->{self.fan_out}")
+        count(self.fan_in, "fan_in", 1)
+        count(self.fan_out, "fan_out", 1)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -153,18 +153,11 @@ class TrainConfig:
 
 @dataclass
 class ForwardPass:
-    """The arrays that `forward` and `backward` write for one batch.
-
-    `Network.workspace` allocates one per batch length, so a training loop
-    can reuse it; `train` binds its own rows in place of `inputs[0]` and
-    `residual`.
-    """
+    """The arrays a batch's forward and backward passes write; `train` reuses one per length."""
 
     inputs: list    # layer inputs: inputs[l] feeds layer l; inputs[-1] is the output
     hidden: list    # pre-dropout layer outputs
     masks: list     # dropout mask per layer (None where inactive)
-    dropout: bool   # made for passes with dropout, which draw from an rng
-    residual: np.ndarray  # output - target, written by backward
     scratch: list   # backward's two arrays per layer, shaped like its output
 
     @property
@@ -207,11 +200,11 @@ class Network:
         return views
 
     def workspace(self, batch: int, dropout: bool = False) -> ForwardPass:
-        """Fresh arrays for a training step over `batch` rows.
+        """Fresh arrays for a pass over `batch` rows.
 
-        With `dropout`, each layer with a dropout rate gets a mask and a
-        separate dropped output; it then needs an rng in `forward`. The
-        arrays are left unwritten, so those that a pass never uses cost no memory.
+        With `dropout`, as `train` asks, each layer with a dropout rate gets a
+        mask and a separate dropped output. The arrays are left unwritten, so
+        those that a pass never uses cost no memory.
         """
         inputs, hidden, masks, scratch = [None], [], [], []
         for layer in self.spec.layers:
@@ -222,23 +215,15 @@ class Network:
             masks.append(np.empty(shape) if drop else None)
             inputs.append(np.empty(shape) if drop else h)
             scratch.append((np.empty(shape), np.empty(shape)))
-        return ForwardPass(inputs, hidden, masks, dropout, np.empty(shape), scratch)
+        return ForwardPass(inputs, hidden, masks, scratch)
 
-    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None,
-                out: ForwardPass | None = None) -> ForwardPass:
-        """Forward pass; dropout runs, drawing from `rng`, iff an `rng` is passed.
-
-        The pass is written into `out`, a workspace for this batch length made
-        with dropout iff an `rng` is passed; by default into a fresh one.
-        """
+    def forward(self, x: np.ndarray) -> ForwardPass:
+        """Eval-mode forward pass (dropout off) into a fresh workspace."""
         x = np.asarray(x, dtype=float)
         _check_input(self.spec, x)
-        cache = self.workspace(x.shape[0], dropout=rng is not None) if out is None else out
-        if cache.dropout != (rng is not None):
-            raise ValueError(f"a workspace made with dropout={cache.dropout} "
-                             f"needs {'an' if cache.dropout else 'no'} rng")
+        cache = self.workspace(x.shape[0])
         cache.inputs[0] = x
-        _run(_forward_calls(self, cache, rng))
+        _run(_forward_calls(self, cache, None))
         return cache
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -255,19 +240,13 @@ class Network:
         p = np.clip(output, CCE_CLAMP, 1.0)
         return float(np.mean(-np.sum(target * np.log(p), axis=1)))
 
-    def backward(self, cache: ForwardPass, target: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """Exact gradient of the loss w.r.t. `theta`, as one vector in its layout.
-
-        `cache` must come from a forward pass over the same batch and dropout
-        masks. The gradient is written into `out` when given, else into a
-        fresh vector; `cache.residual` is left holding output - target.
-        """
+    def backward(self, cache: ForwardPass, target: np.ndarray) -> np.ndarray:
+        """Exact loss gradient w.r.t. `theta`, in its layout, from `forward`'s `cache`."""
         target = np.asarray(target, dtype=float)
         if cache.output.shape != target.shape:
             raise ValueError(f"output {cache.output.shape} vs target {target.shape}")
-        grad = np.empty(self.spec.param_count) if out is None else out
-        _run(_backward_calls(self, cache, target, cache.residual, grad))
+        grad = np.empty(self.spec.param_count)
+        _run(_backward_calls(self, cache, target, np.empty(target.shape), grad))
         return grad
 
 
@@ -412,9 +391,9 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     its shuffled rows into one buffer, and each batch's step runs its forward
     pass, backward pass and `adadelta_step` on its rows, views of that buffer,
     through one workspace per batch length (the full batch and the last one),
-    one gradient vector and the adadelta state. An MSE loss is not
-    recomputed: `backward`'s output - target goes to the batch's rows of the
-    epoch residuals, and the epoch loss is reduced from them as batch-by-batch
+    one gradient vector and the adadelta state. An MSE loss is not recomputed:
+    the backward pass writes output - target to the batch's rows of the epoch
+    residuals, and the epoch loss is reduced from them as batch-by-batch
     losses would be. The gradient uses the same residual, so both come from
     one subtraction, and the history and `theta` keep their bits.
     """

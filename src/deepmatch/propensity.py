@@ -50,8 +50,7 @@ def build_propensity_net(input_dim: int) -> NetworkSpec:
 
     input_dim=2 gives 382 trainable parameters (30+110+110+110+22).
     """
-    if input_dim < 1:
-        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
+    count(input_dim, "input_dim", 1)
     layers = []
     fan_in = input_dim
     for width in PROPENSITY_WIDTHS[:-1]:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from deepmatch import embedding, matching, metrics, network, propensity
+from deepmatch import embedding, gradcheck, matching, metrics, network, propensity
 from deepmatch.data import (
     GroundTruth,
     ObservationalDataset,
@@ -123,6 +123,24 @@ class TestSwissRoll:
             SwissRollConfig(p_treat=1.5)
         with pytest.raises(ValueError, match="sigma"):
             SwissRollConfig(outcome_noise_sigma=-0.1)
+
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("coeff_control", (1.0, 1.0)),
+            ("coeff_control", [1.0, 1.0, 1.0]),
+            ("coeff_treated", (2.0, float("nan"), 1.0)),
+            ("coeff_treated", (2.0, True, 1.0)),
+            ("coeff_treated", (2.0, "1", 1.0)),
+        ],
+        ids=["two-numbers", "list", "nan", "bool", "string"],
+    )
+    def test_coefficients_are_three_finite_numbers(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be a tuple of 3 finite numbers"):
+            SwissRollConfig(**{field: bad})
+        cfg = SwissRollConfig(**{field: (np.int64(1), np.float64(2.0), -0.5)})
+        assert gen_swiss_roll(cfg, 0).x.shape == (1500, 3)
 
 
 class TestPropensityPairs:
@@ -441,6 +459,13 @@ def _integer_arguments():
         "fit_pca.m": (lambda v: embedding.fit_pca(_X, v), 1, 1.5, "target dimension"),
         "gen_propensity_pairs.n": (lambda v: gen_propensity_pairs(v, 0.1, 0), 3, 2.5, "n"),
         "train_test_split.n": (lambda v: train_test_split(v, 0.2, 0), 10, 2.5, "n"),
+        "LayerSpec.fan_in-float": (lambda v: network.LayerSpec(v, 3), 2, 2.5, "fan_in"),
+        "LayerSpec.fan_in-bool": (lambda v: network.LayerSpec(v, 1), 1, True, "fan_in"),
+        "LayerSpec.fan_out": (lambda v: network.LayerSpec(3, v), 2, 2.5, "fan_out"),
+        "build_propensity_net.input_dim": (
+            lambda v: propensity.build_propensity_net(v), 2, 2.5, "input_dim"),
+        "default_grid.count-float": (lambda v: gradcheck.default_grid(v), 2, 2.5, "count"),
+        "default_grid.count-bool": (lambda v: gradcheck.default_grid(v), 1, True, "count"),
     }
 
 

@@ -38,7 +38,7 @@ def test_corrupted_gradient_detected():
 
 
 def test_empty_grid_rejected():
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
         default_grid(0)
 
 

@@ -167,6 +167,32 @@ class TestKnnKernel:
         assert idx.shape == dist.shape == (0, 2)
         assert idx.dtype == np.intp and dist.dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "queries, pool",
+        [
+            ([[0.0]], [[2e154], [1.5e154]]),  # 2e154^2 overflows: both rows would read inf
+            ([[0.0, 0.0]], [[1e154, 1e154], [9e153, 9e153]]),  # only the diagonal overflows
+            ([[1e308]], [[-1.5e308], [-1e308]]),  # the gap itself overflows
+            ([[-1e308, 1e308]], [[1e308, -1e308], [0.0, 0.0]]),
+        ],
+        ids=["1d", "2d", "1e308", "1e308-2d"],
+    )
+    def test_span_whose_distances_could_overflow_rejected(self, queries, pool):
+        # the check itself neither overflows nor warns, even at +-1e308
+        with pytest.raises(ValueError, match="queries and pool span too wide"):
+            knn(queries, pool, 1)
+        with pytest.raises(ValueError, match="span too wide"):  # through the pooled effects
+            estimate_effects_pooled(queries, [1], [0.0], pool, [0, 0], [0.0, 0.0])
+
+    def test_span_just_inside_the_limit_stays_exact(self):
+        # diagonals of 6e153 and 5.7e153, below 2^511: every square is finite
+        for pool in ([[6e153], [5e153]], [[4e153, 4e153], [3e153, 3e153]]):
+            pool = np.array(pool)
+            query = np.zeros(pool.shape[1])
+            idx, dist = knn(query[None], pool, 1)
+            assert idx.tolist() == [[1]]
+            assert (idx[0].tolist(), dist[0].tolist()) == scan_pool(query, pool, 1)
+
     @pytest.mark.parametrize("block_entries", [1 << 16, 40, 1])
     def test_matches_scan_oracle_with_heavy_ties(self, monkeypatch, block_entries):
         # small block budgets force one query (or a few) per block

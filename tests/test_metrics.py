@@ -265,6 +265,15 @@ class TestSilhouette:
         with pytest.raises(ValueError, match="finite"):
             silhouette(z, np.arange(10) % 2)
 
+    def test_span_whose_distances_could_overflow_rejected(self):
+        # 2e154 apart: the squared distance would overflow, and the check itself does not
+        for big in (2e154, 1e308):
+            z = np.array([[0.0, 0.0], [0.0, 1.0], [big, 0.0], [big, 1.0]])
+            with pytest.raises(ValueError, match="embedding z span too wide"):
+                silhouette(z, [0, 0, 1, 1])
+        z = np.array([[0.0, 0.0], [0.0, 1.0], [6e153, 0.0], [6e153, 1.0]])
+        assert silhouette(z, [0, 0, 1, 1]) == pytest.approx(1.0)
+
     def test_singleton_cluster_contributes_zero(self):
         z = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
         labels = np.array([0, 0, 1])

@@ -22,6 +22,18 @@ from deepmatch.propensity import build_propensity_net
 from oracles import EPS, RHO, adadelta_delta, backward_alloc, forward_alloc, train_per_tensor
 
 
+def train_pass(net, x, rng, ws=None):
+    """The forward calls that `train` builds, dropout drawn from `rng`, run once on x.
+
+    The pass goes into `ws`, or into a fresh workspace made with dropout; an
+    rng of None draws nothing, so it needs a workspace made without.
+    """
+    ws = net.workspace(x.shape[0], dropout=True) if ws is None else ws
+    ws.inputs[0] = x
+    network._run(network._forward_calls(net, ws, rng))
+    return ws
+
+
 def classifier_spec(input_dim=2):
     widths = (10, 10, 10, 10, 2)
     layers = []
@@ -168,7 +180,7 @@ class TestForward:
         spec = NetworkSpec((LayerSpec(3, 5, activation="tanh"), LayerSpec(5, 2)))
         net = init_network(spec, seed=4)
         x = np.random.default_rng(1).standard_normal((6, 3))
-        train_out = net.forward(x, rng=np.random.default_rng(0)).output
+        train_out = train_pass(net, x, np.random.default_rng(0)).output
         assert np.array_equal(train_out, net.predict(x))
 
     def test_dropout_active_only_with_rng(self):
@@ -180,7 +192,7 @@ class TestForward:
         eval_a = net.predict(x)
         eval_b = net.predict(x)
         assert np.array_equal(eval_a, eval_b)
-        t1 = net.forward(x, rng=np.random.default_rng(8)).output
+        t1 = train_pass(net, x, np.random.default_rng(8)).output
         assert not np.array_equal(t1, eval_a)
 
     def test_predict_calls_share_no_memory(self):
@@ -195,19 +207,13 @@ class TestForward:
         x = np.random.default_rng(3).standard_normal((5, 2))
         ws = net.workspace(5, dropout=True)
         for seed in (1, 2):  # a reused workspace holds no state from its last pass
-            assert net.forward(x, rng=np.random.default_rng(seed), out=ws) is ws
-            fresh = net.forward(x, rng=np.random.default_rng(seed))
+            assert train_pass(net, x, np.random.default_rng(seed), ws) is ws
+            fresh = train_pass(net, x, np.random.default_rng(seed))
             for got, want in zip(ws.inputs + ws.hidden, fresh.inputs + fresh.hidden):
                 assert np.array_equal(got, want)
-        assert np.array_equal(net.forward(x, out=net.workspace(5)).output, net.predict(x))
-
-    def test_workspace_dropout_must_match_rng(self):
-        net = init_network(classifier_spec(), seed=7)
-        x = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="needs an rng"):
-            net.forward(x, out=net.workspace(3, dropout=True))
-        with pytest.raises(ValueError, match="needs no rng"):
-            net.forward(x, rng=np.random.default_rng(0), out=net.workspace(3))
+        ws = net.workspace(5)  # and without dropout it holds the eval-mode pass
+        for _ in range(2):
+            assert np.array_equal(train_pass(net, x, None, ws).output, net.predict(x))
 
     def test_input_width_mismatch_rejected(self):
         net = init_network(NetworkSpec((LayerSpec(3, 2),)), seed=0)
@@ -225,7 +231,7 @@ def dropout_net(width, rate, h):
 
 class TestDropoutMask:
     def test_mask_values_are_zero_or_scale(self):
-        cache = dropout_net(100, 0.3, 1.0).forward(np.ones((100, 1)), rng=np.random.default_rng(0))
+        cache = train_pass(dropout_net(100, 0.3, 1.0), np.ones((100, 1)), np.random.default_rng(0))
         assert set(np.unique(cache.masks[0])) == {0.0, 1.0 / 0.7}
         assert np.array_equal(cache.inputs[1], cache.hidden[0] * cache.masks[0])
 
@@ -236,7 +242,7 @@ class TestDropoutMask:
         acc = np.zeros((1, 1000))
         ws = net.workspace(1, dropout=True)
         for _ in range(reps):
-            acc += net.forward(np.ones((1, 1)), rng=rng, out=ws).inputs[1]
+            acc += train_pass(net, np.ones((1, 1)), rng, ws).inputs[1]
         est = acc.mean() / reps
         # Monte-Carlo std of the grand mean
         sd = 2.0 * math.sqrt(0.3 / 0.7) / math.sqrt(1000 * reps)
@@ -312,7 +318,7 @@ class TestBackward:
             assert dw[0, 0] == pytest.approx(2.0 * w0, rel=1e-15)
             assert db[0] == pytest.approx(2.0 * w0, rel=1e-15)
 
-    def test_without_out_fresh_and_equal_to_allocating_passes(self):
+    def test_fresh_and_equal_to_allocating_passes(self):
         # every spec and batch size of the gradcheck grid; the oracle's passes
         # allocate every array, so no reused buffer can leak into them
         for case in default_grid(24, seed=0):

@@ -16,7 +16,8 @@ their embeddings (2-D, finite, a given column count where one is expected),
 `treatment` to labels (n labels of 0 or 1, and both arms where they are
 needed) and `finite_vector` to outcomes, scores and effects (1-D, finite, a
 given length where one is expected). `count` holds the integer arguments
-and the configs' integer fields to integers.
+and the configs' integer fields to integers, and `real` their real-valued
+ones to numbers.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ def count(value, what: str, least: int, most: int | None = None) -> None:
         raise ValueError(f"{what} must be >= {least}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"{what} must be <= {most}, got {value}")
+
+
+def real(value, what: str) -> None:
+    """Check that `value` is a real number, NumPy's too but never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 def treatment(w, n: int, both_arms: bool = True) -> np.ndarray:
@@ -158,6 +165,8 @@ class SwissRollConfig:
 
     def __post_init__(self):
         count(self.n, "n", 2)
+        for name in ("noise_sigma", "outcome_noise_sigma", "p_treat"):
+            real(getattr(self, name), name)
         scalars = (self.noise_sigma, self.outcome_noise_sigma, self.p_treat)
         if not all(math.isfinite(v) for v in scalars):
             raise ValueError("config scalars must be finite")
@@ -231,6 +240,7 @@ def gen_propensity_pairs(n: int, jitter_sigma: float, seed: int) -> Observationa
     effect in this design: both potential outcomes equal the observed one.
     """
     count(n, "n", 1)
+    real(jitter_sigma, "jitter_sigma")
     if not (jitter_sigma > 0 and math.isfinite(jitter_sigma)):
         raise ValueError(
             "jitter_sigma must be > 0: coincident twins make neighbor order vacuous"
@@ -283,6 +293,7 @@ def duplicate_twins(ds: ObservationalDataset) -> ObservationalDataset:
 def train_test_split(n: int, test_fraction: float, seed: int):
     """Seeded index split; returns (train_idx, test_idx), both sorted."""
     count(n, "n", 1)
+    real(test_fraction, "test_fraction")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)

@@ -1,7 +1,11 @@
 """Dense feedforward networks with hand-derived backpropagation.
 
 A network is `Network(spec, theta)`: a `NetworkSpec` plus one float64 vector
-holding every weight and bias. Everything is plain numpy: Glorot-uniform
+holding every parameter, one row-major block [W | b] per layer: unit j's
+weights, then its bias. Every array that a layer multiplies ends in a column
+of ones, so one product gives its pre-activation, [a | 1] @ [W | b].T =
+a @ W.T + b, and one its block's gradient, delta.T @ [a | 1] =
+[delta.T @ a | delta.sum(0)]. Everything is plain numpy: Glorot-uniform
 initialization, exact layer-by-layer gradients for mean squared error and
 categorical cross-entropy, which `gradcheck` holds to finite differences,
 the adadelta update rule, and a mini-batch training loop, the one place
@@ -15,12 +19,20 @@ eval-mode pass over fresh arrays; `train` builds every batch's whole step,
 forward with dropout, backward and the adadelta update, once per fit, over
 views of one buffer into which each epoch gathers its shuffled rows, and
 then only runs it. Products use `np.dot`, the same dgemm as `@` for any
-operand with a unit stride, at less cost per call. None of this moves a bit:
-every array is formed by the same operations, in the same order, as when it
-was freshly allocated, and an output buffer does not change how numpy
-evaluates an operation. Two rewrites are exact: a multiplication by the
-identity's derivative, 1.0, is skipped, and the MSE's 2 r / B is formed as
-r / (B / 2).
+operand with a unit stride, at less cost per call.
+
+The workspace, the call lists and the output buffers move no bit: every
+array is formed by the same operations, in the same order, as when it is
+freshly allocated, and an output buffer does not change how numpy evaluates
+an operation. Two rewrites are exact: a multiplication by the identity's
+derivative, 1.0, is skipped, and the MSE's 2 r / B is formed as r / (B / 2).
+The folded products equal the textbook a @ W.T + b, delta.sum(0) and
+delta.T @ a where the BLAS adds a product's terms in order, the ones
+column's last, as the separate add and the axis-0 reduce do; OpenBLAS's
+Haswell dgemm does so below 32 terms. Three cases round differently, inside
+a dot product's error bound: a batch of one row, for which numpy calls
+dgemv; a layer with one input or one output; and a layer with 31 or more
+inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import count, finite_matrix
+from .data import count, finite_matrix, real
 
 # adadelta's decay rate rho = 0.95, its eps = 1e-6 and 1 - rho, and the
 # activations' 0 and 1, as 0-d arrays: faster ufunc operands than floats.
@@ -43,10 +55,10 @@ def _run(calls: list) -> None:
         function(*args)
 
 
-def _softmax(z: np.ndarray) -> list:
+def _softmax(z: np.ndarray, h: np.ndarray) -> list:
     col = np.empty((z.shape[0], 1))  # each row's max, then its sum
-    return [(np.maximum.reduce, (z, 1, None, col, True)), (np.subtract, (z, col, z)),
-            (np.exp, (z, z)), (np.add.reduce, (z, 1, None, col, True)), (np.divide, (z, col, z))]
+    return [(np.maximum.reduce, (z, 1, None, col, True)), (np.subtract, (z, col, h)),
+            (np.exp, (h, h)), (np.add.reduce, (h, 1, None, col, True)), (np.divide, (h, col, h))]
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -59,19 +71,19 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-# name -> (the calls that apply the function in place to the pre-activation z;
-# the calls that write its derivative, expressed through the output h, into
-# `out`). The identity needs no calls, and multiplying by its derivative, 1.0,
-# is exact. Softmax has no derivative: it only feeds cross-entropy, whose
-# logit gradient backward forms directly.
+# name -> (the calls that write the function of the pre-activation z into the
+# output h, which may be z itself; the calls that write its derivative,
+# expressed through h, into `out`). The identity in place needs no calls, and
+# multiplying by its derivative, 1.0, is exact. Softmax has no derivative: it
+# only feeds cross-entropy, whose logit gradient backward forms directly.
 _ACTIVATIONS = {
-    "identity": (lambda z: [], None),
+    "identity": (lambda z, h: [] if h is z else [(np.copyto, (h, z))], None),
     # np.maximum deprecates a positional out
-    "relu": (lambda z: [(partial(np.maximum, out=z), (_ZERO, z))],
+    "relu": (lambda z, h: [(partial(np.maximum, out=h), (_ZERO, z))],
              lambda h, out: [(np.greater, (h, _ZERO, out))]),
-    "sigmoid": (lambda z: [(sigmoid, (z, z))],
+    "sigmoid": (lambda z, h: [(sigmoid, (z, h))],
                 lambda h, out: [(np.subtract, (_ONE, h, out)), (np.multiply, (h, out, out))]),
-    "tanh": (lambda z: [(np.tanh, (z, z))],
+    "tanh": (lambda z, h: [(np.tanh, (z, h))],
              lambda h, out: [(np.square, (h, out)), (np.subtract, (_ONE, out, out))]),
     "softmax": (_softmax, None),
 }
@@ -95,6 +107,7 @@ class LayerSpec:
         count(self.fan_out, "fan_out", 1)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        real(self.dropout_rate, "dropout_rate")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
@@ -128,7 +141,7 @@ class NetworkSpec:
 
     @property
     def param_count(self) -> int:
-        return sum(l.fan_in * l.fan_out + l.fan_out for l in self.layers)
+        return sum(l.fan_out * (l.fan_in + 1) for l in self.layers)
 
     @property
     def input_dim(self) -> int:
@@ -153,25 +166,39 @@ class TrainConfig:
 
 @dataclass
 class ForwardPass:
-    """The arrays a batch's forward and backward passes write; `train` reuses one per length."""
+    """The arrays a batch's forward and backward passes write; `train` reuses one per length.
 
-    inputs: list    # layer inputs: inputs[l] feeds layer l; inputs[-1] is the output
+    Layer l multiplies `extended[l]`, its input rows with a last column of
+    ones, by its [W | b] block into the contiguous `sums[l]`. The activation
+    writes `hidden[l]` from there: in place for the final layer and a dropout
+    layer, otherwise into the next layer's extended input, where a dropout
+    layer writes its dropped output instead.
+    """
+
+    extended: list  # extended[l] feeds layer l; extended[0] is set by `_forward_calls`
+    sums: list      # the products, each layer's pre-activation
     hidden: list    # pre-dropout layer outputs
     masks: list     # dropout mask per layer (None where inactive)
     scratch: list   # backward's two arrays per layer, shaped like its output
 
     @property
+    def inputs(self) -> list:
+        """Views of the layer inputs: inputs[l] feeds layer l; inputs[-1] is the output."""
+        return [a[:, :-1] for a in self.extended] + [self.output]
+
+    @property
     def output(self) -> np.ndarray:
-        return self.inputs[-1]
+        return self.hidden[-1]
 
 
 class Network:
     """A dense feedforward net whose parameters live in one float64 vector.
 
-    `theta` holds, layer by layer, the weight matrix (fan_out x fan_in,
-    row-major) and then the bias. The network adopts `theta` without copying;
-    `weights[l]` and `biases[l]` are views into it, and gradients and
-    optimiser state share the same layout.
+    `theta` holds, layer by layer, a row-major fan_out x (fan_in + 1) block
+    [W | b]: row j is unit j's weights, then its bias. The network adopts
+    `theta` without copying; `blocks(theta)`, `weights[l]` (the block's first
+    fan_in columns) and `biases[l]` (its last) are views into it, and
+    gradients and optimiser state share the same layout.
     """
 
     def __init__(self, spec: NetworkSpec, theta: np.ndarray):
@@ -182,48 +209,60 @@ class Network:
                              f"of shape {np.shape(theta)}")
         self.spec = spec
         self.theta = theta
-        views = self.split(theta)
-        self.weights = [w for w, _ in views]
-        self.biases = [b for _, b in views]
+        blocks = self.blocks(theta)
+        self.weights = [block[:, :-1] for block in blocks]
+        self.biases = [block[:, -1] for block in blocks]
+        # each layer's product operand, made once: a view per batch would
+        # swell the call lists that `train` builds
+        self._transposed = [block.T for block in blocks]
 
-    def split(self, flat: np.ndarray) -> list:
-        """Per-layer (W, b) views of a vector laid out like `theta`."""
+    def blocks(self, flat: np.ndarray) -> list:
+        """Per-layer [W | b] views, fan_out x (fan_in + 1), of a vector laid out like `theta`."""
         n = self.spec.param_count
         if flat.shape != (n,):
             raise ValueError(f"expected a flat vector of param_count={n}, got {flat.shape}")
         views, start = [], 0
         for layer in self.spec.layers:
-            mid = start + layer.fan_out * layer.fan_in
-            stop = mid + layer.fan_out
-            views.append((flat[start:mid].reshape(layer.fan_out, layer.fan_in), flat[mid:stop]))
+            stop = start + layer.fan_out * (layer.fan_in + 1)
+            views.append(flat[start:stop].reshape(layer.fan_out, layer.fan_in + 1))
             start = stop
         return views
 
+    def split(self, flat: np.ndarray) -> list:
+        """Per-layer (W, b) views of a vector laid out like `theta`."""
+        return [(block[:, :-1], block[:, -1]) for block in self.blocks(flat)]
+
     def workspace(self, batch: int, dropout: bool = False) -> ForwardPass:
-        """Fresh arrays for a pass over `batch` rows.
+        """Fresh arrays for a pass over `batch` rows, all but the first layer's input.
 
         With `dropout`, as `train` asks, each layer with a dropout rate gets a
-        mask and a separate dropped output. The arrays are left unwritten, so
-        those that a pass never uses cost no memory.
+        mask and keeps its output apart from the dropped one. The arrays are
+        left unwritten but for the ones columns, so those that a pass never
+        uses cost no memory.
         """
-        inputs, hidden, masks, scratch = [None], [], [], []
-        for layer in self.spec.layers:
+        last = len(self.spec.layers) - 1
+        extended, sums, hidden, masks, scratch = [None], [], [], [], []
+        for l, layer in enumerate(self.spec.layers):
             shape = (batch, layer.fan_out)
-            h = np.empty(shape)
+            z = np.empty(shape)
             drop = dropout and layer.dropout_rate > 0.0
-            hidden.append(h)
+            sums.append(z)
             masks.append(np.empty(shape) if drop else None)
-            inputs.append(np.empty(shape) if drop else h)
             scratch.append((np.empty(shape), np.empty(shape)))
-        return ForwardPass(inputs, hidden, masks, scratch)
+            if l == last:
+                hidden.append(z)
+            else:
+                a1 = np.empty((batch, layer.fan_out + 1))
+                a1[:, -1] = 1.0
+                extended.append(a1)
+                hidden.append(z if drop else a1[:, :-1])
+        return ForwardPass(extended, sums, hidden, masks, scratch)
 
     def forward(self, x: np.ndarray) -> ForwardPass:
         """Eval-mode forward pass (dropout off) into a fresh workspace."""
-        x = np.asarray(x, dtype=float)
-        _check_input(self.spec, x)
-        cache = self.workspace(x.shape[0])
-        cache.inputs[0] = x
-        _run(_forward_calls(self, cache, None))
+        x1 = _with_ones(finite_matrix(x, "network input", self.spec.input_dim))
+        cache = self.workspace(x1.shape[0])
+        _run(_forward_calls(self, cache, x1, None))
         return cache
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -242,41 +281,50 @@ class Network:
 
     def backward(self, cache: ForwardPass, target: np.ndarray) -> np.ndarray:
         """Exact loss gradient w.r.t. `theta`, in its layout, from `forward`'s `cache`."""
-        target = np.asarray(target, dtype=float)
+        target = finite_matrix(target, "network target", self.spec.output_dim)
         if cache.output.shape != target.shape:
             raise ValueError(f"output {cache.output.shape} vs target {target.shape}")
         grad = np.empty(self.spec.param_count)
-        _run(_backward_calls(self, cache, target, np.empty(target.shape), grad))
+        _run(_backward_calls(self, cache, target, np.empty(target.shape), self.blocks(grad)))
         return grad
 
 
-def _check_input(spec: NetworkSpec, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"input must be 2-D with {spec.input_dim} columns, got shape {x.shape}")
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """A copy of the rows `x` with a last column of ones, for a [W | b] block to multiply."""
+    x1 = np.ones((x.shape[0], x.shape[1] + 1))
+    x1[:, :-1] = x
+    return x1
 
 
-def _forward_calls(net: Network, cache: ForwardPass, rng: np.random.Generator | None) -> list:
-    """The forward pass from `cache.inputs[0]` through `cache`, dropout iff an `rng`.
+def _forward_calls(net: Network, cache: ForwardPass, x1: np.ndarray,
+                   rng: np.random.Generator | None) -> list:
+    """The forward pass of `x1`, rows that end in a column of ones, through `cache`.
 
-    Inverted dropout zeroes each unit with probability `rate` and scales the
-    survivors by 1/(1-rate); its mask carries the scaling, so that applying
-    it is a single multiply in both passes.
+    Dropout runs iff an `rng` is given. Inverted dropout zeroes each unit with
+    probability `rate` and scales the survivors by 1/(1-rate); its mask
+    carries the scaling, so that applying it is a single multiply in both
+    passes.
     """
-    calls, a = [], cache.inputs[0]
+    cache.extended[0] = x1
+    calls = []
     for l, layer in enumerate(net.spec.layers):
-        h = cache.hidden[l]
-        calls += [(np.dot, (a, net.weights[l].T, h)), (np.add, (h, net.biases[l], h))]
-        calls += _ACTIVATIONS[layer.activation][0](h)
-        a, mask, keep = cache.inputs[l + 1], cache.masks[l], np.array(1.0 - layer.dropout_rate)
-        if a is not h:
+        z, h, mask = cache.sums[l], cache.hidden[l], cache.masks[l]
+        calls.append((np.dot, (cache.extended[l], net._transposed[l], z)))
+        calls += _ACTIVATIONS[layer.activation][0](z, h)
+        if mask is not None:
+            keep = np.array(1.0 - layer.dropout_rate)
             calls += [(rng.random, (None, np.float64, mask)), (np.less, (mask, keep, mask)),
-                      (np.divide, (mask, keep, mask)), (np.multiply, (h, mask, a))]
+                      (np.divide, (mask, keep, mask)),
+                      (np.multiply, (h, mask, cache.extended[l + 1][:, :-1]))]
     return calls
 
 
 def _backward_calls(net: Network, cache: ForwardPass, target: np.ndarray,
-                    residual: np.ndarray, grad: np.ndarray) -> list:
-    """The gradient into `grad` after the pass in `cache`, and output - target into `residual`."""
+                    residual: np.ndarray, grads: list) -> list:
+    """The gradient into the [W | b] blocks `grads` after the pass in `cache`.
+
+    The output's residual, output - target, goes into `residual`.
+    """
     output, layers = cache.output, net.spec.layers
     last = len(layers) - 1
     d_out, spare = cache.scratch[last]
@@ -289,8 +337,8 @@ def _backward_calls(net: Network, cache: ForwardPass, target: np.ndarray,
         # 2 r / B as r / (B / 2): B / 2 and 2 r are exact, so both round one quotient
         calls.append((np.divide, (residual, np.array(output.shape[0] / 2.0), d_out)))
         delta = _times_derivative(layers[last].activation, output, d_out, spare, calls)
-    for l, (dw, db) in reversed(list(enumerate(net.split(grad)))):
-        calls += [(np.add.reduce, (delta, 0, None, db)), (np.dot, (delta.T, cache.inputs[l], dw))]
+    for l, block in reversed(list(enumerate(grads))):
+        calls.append((np.dot, (delta.T, cache.extended[l], block)))
         if l > 0:
             da, spare = cache.scratch[l - 1]
             calls.append((np.dot, (delta, net.weights[l], da)))
@@ -387,8 +435,10 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     fit the net, before any step; and TrainingDiverged when an epoch ends with
     a non-finite loss or parameter.
 
-    The steps of an epoch are built once, before the first: each epoch gathers
-    its shuffled rows into one buffer, and each batch's step runs its forward
+    The steps of an epoch are built once, before the first. The inputs are
+    copied once per fit with a last column of ones; each epoch gathers its
+    shuffled rows from that copy into one buffer, whose first columns are an
+    autoencoder's targets, and each batch's step runs its forward
     pass, backward pass and `adadelta_step` on its rows, views of that buffer,
     through one workspace per batch length (the full batch and the last one),
     one gradient vector and the adadelta state. An MSE loss is not recomputed:
@@ -404,7 +454,9 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     if x.shape[0] == 0:
         raise ValueError("training needs at least one row of finite inputs and targets")
     n, size, spec = x.shape[0], cfg.batch_size, net.spec
-    _check_input(spec, x[:size])  # the first batch, as a step would see it
+    if x.shape[1] != spec.input_dim:  # reported as the first batch, as a step would see it
+        raise ValueError(f"input must be 2-D with {spec.input_dim} columns, "
+                         f"got shape {x[:size].shape}")
     if y.shape[1] != spec.output_dim:
         raise ValueError(f"output {(min(size, n), spec.output_dim)} vs target {y[:size].shape}")
     rng = np.random.default_rng(seed)
@@ -412,9 +464,11 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     steps = np.zeros((2, theta.size))  # the gradient and adadelta's -delta
     state = np.zeros((2, theta.size))  # adadelta's eg2 and ed2
     roots = np.empty((2, theta.size))
+    grads = net.blocks(steps[0])
     spaces = {m: net.workspace(m, dropout=True) for m in {min(size, n), n % size} if m}
-    xs = np.empty_like(x)  # the epoch's shuffled rows
-    ys = xs if y is x else np.empty_like(y)
+    x1 = _with_ones(x)
+    xs = np.empty_like(x1)  # the epoch's shuffled rows
+    ys = xs[:, :-1] if y is x else np.empty_like(y)
     residuals = np.empty((n, spec.output_dim))
     mse = spec.loss == "mse"
     batch_losses = []
@@ -426,18 +480,17 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     for start in range(0, n, size):
         rows = slice(start, start + size)
         cache = spaces[min(size, n - start)]
-        cache.inputs[0] = xs[rows]
-        epoch_calls += _forward_calls(net, cache, rng)
+        epoch_calls += _forward_calls(net, cache, xs[rows], rng)
         if not mse:
             epoch_calls.append((record_loss, (cache.output, ys[rows])))
-        epoch_calls += _backward_calls(net, cache, ys[rows], residuals[rows], steps[0])
+        epoch_calls += _backward_calls(net, cache, ys[rows], residuals[rows], grads)
         epoch_calls.append((adadelta_step, (theta, steps, state, roots)))
 
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        np.take(x, order, 0, xs, "clip")  # "raise" would buffer the output
-        if ys is not xs:
+        np.take(x1, order, 0, xs, "clip")  # "raise" would buffer the output
+        if y is not x:
             np.take(y, order, 0, ys, "clip")
         batch_losses.clear()
         _run(epoch_calls)

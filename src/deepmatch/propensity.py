@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import count, finite_matrix, finite_vector, train_test_split, treatment
+from .data import count, finite_matrix, finite_vector, real, train_test_split, treatment
 from .network import (
     LayerSpec,
     Network,
@@ -115,6 +115,8 @@ class PropensityFitConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("test_fraction", "l2", "grad_tol"):
+            real(getattr(self, name), name)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0,1), got {self.test_fraction}")
         if not (np.isfinite(self.l2) and self.l2 >= 0):

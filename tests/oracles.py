@@ -132,7 +132,9 @@ def swiss_roll_charts(n, seed):
 # Allocating network passes: `@` products, fresh arrays at every step,
 # `np.ones_like` for the identity's derivative and one `np.concatenate` for
 # the gradient. They read `net.spec`, `net.weights` and `net.biases` only, so
-# a change to the library's arithmetic cannot move them.
+# a change to the library's arithmetic cannot move them. Like the library,
+# they multiply each layer's [W | b] by its input with a column of ones
+# appended; `test_network` holds both to the textbook a @ W.T + b.
 def _softmax_alloc(z):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -147,13 +149,17 @@ _ALLOC_ACTIVATIONS = {
 }
 
 
+def _with_ones(a):
+    return np.hstack([a, np.ones((a.shape[0], 1))])
+
+
 def forward_alloc(net, x, rng=None):
     """Returns (inputs, hidden, masks): layer inputs, pre-dropout outputs, masks."""
     x = np.asarray(x, dtype=float)
     inputs, hidden, masks = [x], [], []
     a = x
     for l, layer in enumerate(net.spec.layers):
-        z = a @ net.weights[l].T + net.biases[l]
+        z = _with_ones(a) @ np.hstack([net.weights[l], net.biases[l][:, None]]).T
         h = _ALLOC_ACTIVATIONS[layer.activation][0](z)
         hidden.append(h)
         if rng is not None and layer.dropout_rate > 0.0:
@@ -188,8 +194,7 @@ def backward_alloc(net, passes, target):
         delta = d_out * _ALLOC_ACTIVATIONS[layers[-1].activation][1](out)
     parts = []
     for l in range(len(layers) - 1, -1, -1):
-        parts.append(delta.sum(axis=0))
-        parts.append((delta.T @ inputs[l]).ravel())
+        parts.append((delta.T @ _with_ones(inputs[l])).ravel())  # [dW | db]
         if l > 0:
             da = delta @ net.weights[l]
             if masks[l - 1] is not None:

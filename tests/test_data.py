@@ -475,3 +475,33 @@ def test_integer_arguments_rejected_where_they_enter(entry):
     call(np.int64(good))  # a NumPy integer is an integer
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
         call(bad)
+
+
+def _real_arguments():
+    # name -> (call with the argument v, a good value, a bad value, the name in the message)
+    return {
+        "SwissRollConfig.noise_sigma": (lambda v: SwissRollConfig(noise_sigma=v), 0.05, "a",
+                                        "noise_sigma"),
+        "SwissRollConfig.outcome_noise_sigma": (
+            lambda v: SwissRollConfig(outcome_noise_sigma=v), 0.0, "0", "outcome_noise_sigma"),
+        "SwissRollConfig.p_treat": (lambda v: SwissRollConfig(p_treat=v), 0.5, True, "p_treat"),
+        "LayerSpec.dropout_rate": (lambda v: network.LayerSpec(2, 3, dropout_rate=v), 0.1, "0.1",
+                                   "dropout_rate"),
+        "PropensityFitConfig.test_fraction": (
+            lambda v: propensity.PropensityFitConfig(test_fraction=v), 0.2, None, "test_fraction"),
+        "PropensityFitConfig.l2": (lambda v: propensity.PropensityFitConfig(l2=v), 0.0, "x", "l2"),
+        "PropensityFitConfig.grad_tol": (
+            lambda v: propensity.PropensityFitConfig(grad_tol=v), 1e-8, False, "grad_tol"),
+        "gen_propensity_pairs.jitter_sigma": (lambda v: gen_propensity_pairs(3, v, 0), 0.1, "0.1",
+                                              "jitter_sigma"),
+        "train_test_split.test_fraction": (lambda v: train_test_split(10, v, 0), 0.2, [0.2],
+                                           "test_fraction"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_real_arguments()))
+def test_real_arguments_rejected_where_they_enter(entry):
+    call, good, bad, name = _real_arguments()[entry]
+    call(np.float64(good))  # a NumPy float is a real number
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {bad!r}")):
+        call(bad)

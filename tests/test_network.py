@@ -29,8 +29,7 @@ def train_pass(net, x, rng, ws=None):
     rng of None draws nothing, so it needs a workspace made without.
     """
     ws = net.workspace(x.shape[0], dropout=True) if ws is None else ws
-    ws.inputs[0] = x
-    network._run(network._forward_calls(net, ws, rng))
+    network._run(network._forward_calls(net, ws, network._with_ones(x), rng))
     return ws
 
 
@@ -93,7 +92,9 @@ class TestConstructor:
         theta = np.arange(spec.param_count, dtype=float)
         net = Network(spec, theta)
         assert net.theta is theta
-        assert net.weights[0][1, 0] == 2.0 and net.biases[0][0] == 6.0
+        # layer by layer, a row-major [W | b] block: unit j's weights, then its bias
+        assert net.weights[0][1, 0] == 3.0 and net.biases[0][0] == 2.0
+        assert net.weights[1][0, 2] == 11.0 and net.biases[1][0] == 12.0
         theta[0] = -1.0
         assert net.weights[0][0, 0] == -1.0
 
@@ -119,8 +120,8 @@ class TestInit:
         parts = []
         for layer in spec.layers:
             limit = np.sqrt(6.0 / (layer.fan_in + layer.fan_out))
-            parts.append(rng.uniform(-limit, limit, (layer.fan_out, layer.fan_in)).ravel())
-            parts.append(np.zeros(layer.fan_out))
+            w = rng.uniform(-limit, limit, (layer.fan_out, layer.fan_in))
+            parts.append(np.hstack([w, np.zeros((layer.fan_out, 1))]).ravel())
         assert np.array_equal(init_network(spec, seed=17).theta, np.concatenate(parts))
 
     def test_same_seed_bitwise_identical(self):
@@ -165,7 +166,7 @@ class TestForward:
 
     def test_relu_definition(self):
         spec = NetworkSpec((LayerSpec(2, 2, activation="relu"),))
-        net = Network(spec, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+        net = Network(spec, np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
         assert np.array_equal(net.predict(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
 
     def test_sigmoid_saturates_without_overflow_warning(self):
@@ -217,8 +218,17 @@ class TestForward:
 
     def test_input_width_mismatch_rejected(self):
         net = init_network(NetworkSpec((LayerSpec(3, 2),)), seed=0)
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match=re.escape("network input must be an n x 3 matrix")):
             net.predict(np.zeros((4, 5)))
+
+    def test_non_finite_input_rejected_where_it_enters(self):
+        # tanh saturates an inf into a plausible output, so the pass must refuse it
+        net = init_network(NetworkSpec((LayerSpec(2, 2, activation="tanh"), LayerSpec(2, 1))),
+                           seed=0)
+        for bad in ([[np.nan, 0.0], [np.inf, 1.0]], [[0.0, 1.0], [1.0, -np.inf]]):
+            for call in (net.forward, net.predict):
+                with pytest.raises(ValueError, match=re.escape("network input must be finite")):
+                    call(bad)
 
 
 def dropout_net(width, rate, h):
@@ -345,6 +355,55 @@ class TestBackward:
         for (dw, db), w, b in zip(net.split(grad), net.weights, net.biases):
             assert dw.shape == w.shape and db.shape == b.shape
 
+    def test_non_finite_or_misshapen_target_rejected(self):
+        net = init_network(NetworkSpec((LayerSpec(2, 2, activation="tanh"), LayerSpec(2, 1))),
+                           seed=0)
+        cache = net.forward(np.ones((2, 2)))
+        for bad in ([[np.nan], [0.0]], [[0.0], [np.inf]]):
+            with pytest.raises(ValueError, match=re.escape("network target must be finite")):
+                net.backward(cache, bad)
+        with pytest.raises(ValueError, match=re.escape("network target must be an n x 1 matrix")):
+            net.backward(cache, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=re.escape("output (2, 1) vs target (3, 1)")):
+            net.backward(cache, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize(
+        "spec, batches",
+        [(case.spec, (case.batch_size,)) for case in default_grid(24, seed=0)]
+        + [(autoencoder_spec(3, 2, hidden=(32, 16)), (32, 1))],
+        ids=[case.name for case in default_grid(24, seed=0)] + ["autoencoder_hidden_32_16"],
+    )
+    def test_folded_products_within_a_dot_products_bound_of_the_textbook(self, spec, batches):
+        # Each layer, run alone as an identity layer under MSE: its pass is
+        # a @ W.T + b, and its gradient [delta.T @ a | delta.sum(0)] with
+        # delta = 2 (out - y) / B, which the library forms exactly. The folded
+        # products only sum the same terms in another order, so each value is
+        # within gamma_K * sum|terms| of the exact sum, as the textbook's is
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, eq.
+        # 3.5), gamma_K = K u / (1 - K u), u = 2^-53, K terms: fan_in + 1 in
+        # the pass, B in the gradient. Two such values lie within twice it.
+        def gamma(k):
+            return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+        net = init_network(spec, seed=1)
+        rng = np.random.default_rng(2)
+        for layer, w, b in zip(spec.layers, net.weights, net.biases):
+            b[...] = rng.uniform(-0.5, 0.5, b.shape)
+            alone = Network(NetworkSpec((LayerSpec(layer.fan_in, layer.fan_out),)),
+                            np.hstack([w, b[:, None]]).ravel())
+            for batch in batches:
+                a = rng.standard_normal((batch, layer.fan_in))
+                y = rng.standard_normal((batch, layer.fan_out))
+                cache = alone.forward(a)
+                (dw, db), = alone.split(alone.backward(cache, y))
+                bound = 2 * gamma(layer.fan_in + 1) * (np.abs(a) @ np.abs(w).T + np.abs(b))
+                assert (np.abs(cache.output - (a @ w.T + b)) <= bound).all()
+                delta = 2.0 * (cache.output - y) / batch
+                bound = 2 * gamma(batch) * (np.abs(delta).T @ np.abs(a))
+                assert (np.abs(dw - delta.T @ a) <= bound).all()
+                bound = 2 * gamma(batch) * np.abs(delta).sum(0)
+                assert (np.abs(db - delta.sum(0)) <= bound).all()
+
 
 class TestAdadelta:
     def test_first_step_closed_form(self):
@@ -450,10 +509,12 @@ class TestTrain:
             )), TrainConfig(epochs=4, batch_size=16), 9),
             (NetworkSpec((LayerSpec(3, 2, activation="tanh"), LayerSpec(2, 3, activation="tanh"))),
              TrainConfig(epochs=6, batch_size=7), 10),
+            (autoencoder_spec(3, 2, hidden=(32, 16)), TrainConfig(epochs=3), 13),
+            (autoencoder_spec(3, 2), TrainConfig(epochs=4, batch_size=149), 14),
         ],
         ids=["propensity_net_dropout", "autoencoder_default", "autoencoder_hidden", "batch_size_1",
              "batch_size_above_n", "batch_size_divides_n", "relu_sigmoid_dropout",
-             "tanh_final_mse"],
+             "tanh_final_mse", "autoencoder_hidden_32_16", "remainder_batch_of_one"],
     )
     def test_flat_training_bit_identical_to_per_tensor_loop(self, spec, cfg, seed):
         rng = np.random.default_rng(12)

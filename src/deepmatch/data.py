@@ -10,20 +10,24 @@ observed outcome); simulated runs also carry the ground truth needed to
 score estimators: both potential outcomes, the exact unit-level effect,
 band labels, and for the paired design the twin indices.
 
-The library's three input rules live here too, and every public entry
-point applies them where its input enters: `finite_matrix` to covariates and
-their embeddings (2-D, finite, a given column count where one is expected),
+The library's input rules live here too, and every public entry point
+applies them where its input enters: `finite_matrix` to covariates and their
+embeddings (2-D, finite, a given column count where one is expected),
 `treatment` to labels (n labels of 0 or 1, and both arms where they are
 needed) and `finite_vector` to outcomes, scores and effects (1-D, finite, a
-given length where one is expected). `count` holds the integer arguments
-and the configs' integer fields to integers, and `real` their real-valued
-ones to numbers.
+given length where one is expected). Every numeric setting and argument,
+the experiment configs' included, is held by one of two more:
+`count(value, what, least, most)` to an integer in [least, most], and
+`real(value, what, above=, at_least=, below=, at_most=)` to a finite real
+number in the interval its bounds give.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +68,25 @@ def count(value, what: str, least: int, most: int | None = None) -> None:
         raise ValueError(f"{what} must be <= {most}, got {value}")
 
 
-def real(value, what: str) -> None:
-    """Check that `value` is a real number, NumPy's too but never a bool."""
+def real(value, what: str, *, above=None, at_least=None, below=None, at_most=None) -> None:
+    """Check that `value` is a finite real number, NumPy's too but never a bool,
+    in the interval its bounds give: `above` and `below` strict, the others not.
+
+    The interval is tested before finiteness, so a NaN reads as outside it.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+    low = ("(", ">", above, operator.gt) if above is not None else ("[", ">=", at_least, operator.ge)
+    high = (")", "<", below, operator.lt) if below is not None else ("]", "<=", at_most, operator.le)
+    given = [side for side in (low, high) if side[2] is not None]
+    if not all(test(value, bound) for *_, bound, test in given):
+        if len(given) == 2:
+            raise ValueError(f"{what} must be in {low[0]}{low[2]}, {high[2]}{high[0]}, got {value}")
+        ((_, sign, bound, _),) = given
+        raise ValueError(f"{what} must be {sign} {bound}, got {value}")
+    # false for the infinities and for integers too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {value}")
 
 
 def treatment(w, n: int, both_arms: bool = True) -> np.ndarray:
@@ -165,20 +184,15 @@ class SwissRollConfig:
 
     def __post_init__(self):
         count(self.n, "n", 2)
-        for name in ("noise_sigma", "outcome_noise_sigma", "p_treat"):
-            real(getattr(self, name), name)
-        scalars = (self.noise_sigma, self.outcome_noise_sigma, self.p_treat)
-        if not all(math.isfinite(v) for v in scalars):
-            raise ValueError("config scalars must be finite")
+        real(self.noise_sigma, "noise_sigma", at_least=0)
+        real(self.outcome_noise_sigma, "outcome_noise_sigma", at_least=0)
+        real(self.p_treat, "p_treat", at_least=0, at_most=1)
         for name in ("coeff_control", "coeff_treated"):
             c = getattr(self, name)
-            if not (isinstance(c, tuple) and len(c) == 3 and all(isinstance(v, numbers.Real)
-                    and not isinstance(v, bool) and math.isfinite(v) for v in c)):
+            if not (isinstance(c, tuple) and len(c) == 3):
                 raise ValueError(f"{name} must be a tuple of 3 finite numbers, got {c!r}")
-        if self.noise_sigma < 0 or self.outcome_noise_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
-        if not 0.0 <= self.p_treat <= 1.0:
-            raise ValueError(f"p_treat must be in [0, 1], got {self.p_treat}")
+            for i, v in enumerate(c):
+                real(v, f"{name}[{i}]")
 
 
 def roll_surface(u, v):
@@ -240,11 +254,8 @@ def gen_propensity_pairs(n: int, jitter_sigma: float, seed: int) -> Observationa
     effect in this design: both potential outcomes equal the observed one.
     """
     count(n, "n", 1)
-    real(jitter_sigma, "jitter_sigma")
-    if not (jitter_sigma > 0 and math.isfinite(jitter_sigma)):
-        raise ValueError(
-            "jitter_sigma must be > 0: coincident twins make neighbor order vacuous"
-        )
+    # coincident twins would make neighbour order vacuous
+    real(jitter_sigma, "jitter_sigma", above=0)
     rng = np.random.default_rng(seed)
     x_treated = rng.random((n, 2))
     y_treated = rng.random(n)
@@ -293,9 +304,7 @@ def duplicate_twins(ds: ObservationalDataset) -> ObservationalDataset:
 def train_test_split(n: int, test_fraction: float, seed: int):
     """Seeded index split; returns (train_idx, test_idx), both sorted."""
     count(n, "n", 1)
-    real(test_fraction, "test_fraction")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    real(test_fraction, "test_fraction", above=0, below=1)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_test = max(1, int(round(n * test_fraction)))

@@ -22,7 +22,7 @@ import numpy as np
 # PCA's and LLE's one eigensolver; the benchmark tracer wraps it by this name
 from numpy.linalg import eigh as symmetric_eigh
 
-from .data import count, finite_matrix
+from .data import count, finite_matrix, real
 from .matching import knn
 from .network import (
     LayerSpec,
@@ -44,15 +44,10 @@ def _column_stats(x: np.ndarray):
     return mean, std
 
 
-def _check_fit_input(x: np.ndarray, m: int, require_reduction: bool = True) -> np.ndarray:
+def _check_fit_input(x: np.ndarray) -> np.ndarray:
     x = finite_matrix(x, "fit data")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit")
-    count(m, "target dimension", 1)
-    if require_reduction and m >= x.shape[1]:
-        raise ValueError(
-            f"target dimension {m} must be smaller than input dimension {x.shape[1]}"
-        )
     return x
 
 
@@ -82,8 +77,7 @@ class IdentityEmbedder(Embedder):
     kind = "identity"
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        count(self.input_dim, "input_dim", 1)
         object.__setattr__(self, "m", self.input_dim)
 
     def _map(self, x: np.ndarray) -> np.ndarray:
@@ -91,7 +85,7 @@ class IdentityEmbedder(Embedder):
 
 
 def fit_identity(x: np.ndarray) -> IdentityEmbedder:
-    x = _check_fit_input(x, 1, require_reduction=False)
+    x = _check_fit_input(x)
     return IdentityEmbedder(input_dim=x.shape[1])
 
 
@@ -131,9 +125,8 @@ def _orient_columns(vecs: np.ndarray) -> np.ndarray:
 
 def fit_pca(x: np.ndarray, m: int) -> PcaEmbedder:
     """PCA on standardized columns: LAPACK eigh of the d x d covariance."""
-    x = _check_fit_input(x, m, require_reduction=False)
-    if m > x.shape[1]:
-        raise ValueError(f"target dimension {m} exceeds input dimension {x.shape[1]}")
+    x = _check_fit_input(x)
+    count(m, "target dimension", 1, x.shape[1])
     mean, scale = _column_stats(x)
     z = (x - mean) / scale
     cov = (z.T @ z) / (z.shape[0] - 1)
@@ -202,7 +195,8 @@ def fit_autoencoder(
     (empty tuple = plain d -> m -> d). `train_cfg` is the schedule of training
     by adadelta; `seed` draws the initial weights and the shuffling.
     """
-    x = _check_fit_input(x, m)
+    x = _check_fit_input(x)
+    count(m, "target dimension", 1, x.shape[1] - 1)
     mean, scale = _column_stats(x)
     z = (x - mean) / scale
     spec = autoencoder_spec(x.shape[1], m, hidden)
@@ -290,6 +284,8 @@ def lle_weight_matrix(x: np.ndarray, k_neighbors: int, reg: float) -> tuple[np.n
     at column neighbors[i, j] and zeros elsewhere, its diagonal included.
     """
     n = x.shape[0]
+    count(k_neighbors, "k_neighbors", 1, n - 1)
+    real(reg, "reg", above=0)
     # k+1 neighbours, less i wherever ties place it (or the last, if i lost a tie at 0)
     nearest, _ = knn(x, x, k_neighbors + 1)
     keep = nearest != np.arange(n)[:, None]
@@ -479,12 +475,10 @@ def fit_lle(x: np.ndarray, m: int, k_neighbors: int = 10, reg: float = 1e-3) -> 
     positive; the first, constant eigenvector for eigenvalue 0 is discarded.
     Raises LleGraphDisconnected when the neighbour graph is not connected.
     """
-    x = _check_fit_input(x, m)
-    if reg <= 0:
-        raise ValueError(f"reg must be > 0, got {reg}")
+    x = _check_fit_input(x)
+    count(m, "target dimension", 1, x.shape[1] - 1)
     count(k_neighbors, "k_neighbors", m + 1)
-    if k_neighbors >= x.shape[0]:
-        raise ValueError(f"k_neighbors must be < n = {x.shape[0]}, got {k_neighbors}")
+    # lle_weight_matrix holds k_neighbors below n and reg above 0
     cost = _lle_cost(*lle_weight_matrix(x, k_neighbors, reg))
     factor = _BlockCholesky(cost, _level_sets(cost))
     values, vecs, sweeps = _bottom_eigenpairs(cost, factor, m)

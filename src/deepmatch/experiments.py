@@ -26,9 +26,11 @@ import numpy as np
 
 from .data import (
     SwissRollConfig,
+    count,
     duplicate_twins,
     gen_propensity_pairs,
     gen_swiss_roll,
+    real,
     train_test_split,
 )
 from .embedding import fit_autoencoder, fit_identity, fit_lle, fit_pca
@@ -108,24 +110,18 @@ def _value(kind, v, where: str):
     return float(v) if kind is float else v
 
 
-def _bound(text: str, ok):
-    """A check that `ok` holds for the value, or for each entry of a list value."""
+def _rule(rule, **interval):
+    """A bound that holds the value, or each entry of a list value, to `data`'s
+    `count` or `real` with `interval`, named by its path, as a ConfigError."""
 
     def check(value, where):
         for v in value if isinstance(value, tuple) else (value,):
-            if not ok(v):
-                raise ConfigError(f"{where} must be {text}, got {v!r}")
+            try:
+                rule(v, where, **interval)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     return check
-
-
-def _at_least(lo):
-    return _bound(f">= {lo}", lambda v: v >= lo)
-
-
-_POSITIVE = _bound("> 0", lambda v: v > 0)
-_OPEN_UNIT = _bound("in (0, 1)", lambda v: 0 < v < 1)
-_ARM = _bound("0 or 1", lambda v: v in (0, 1))
 
 
 def _methods(allowed):
@@ -272,7 +268,7 @@ class SwissRollRun:
 
 
 SWISSROLL_FIELDS = (
-    Field("seed", int, _at_least(0)),
+    Field("seed", int, _rule(count, least=0)),
     # Bounded by SwissRollConfig.
     Field("dataset.n", int),
     Field("dataset.noise_sigma", float),
@@ -281,16 +277,16 @@ SWISSROLL_FIELDS = (
     Field("dataset.outcome_noise_sigma", float),
     Field("dataset.p_treat", float),
     Field("methods", [str], _methods(SWISSROLL_METHODS)),
-    Field("test_fraction", float, _OPEN_UNIT),
-    Field("k_matches", int, _at_least(1)),
-    Field("embed_dim", int, _at_least(1)),
+    Field("test_fraction", float, _rule(real, above=0, below=1)),
+    Field("k_matches", int, _rule(count, least=1)),
+    Field("embed_dim", int, _rule(count, least=1)),
     Field("twin_mode", bool),
     # Bounded by TrainConfig.
     Field("autoencoder.epochs", int),
     Field("autoencoder.batch_size", int),
-    Field("autoencoder.hidden", [int], _at_least(1), "ae_hidden"),
-    Field("lle.k_neighbors", int, _at_least(1), "lle_neighbors"),
-    Field("lle.reg", float, _POSITIVE, "lle_reg"),
+    Field("autoencoder.hidden", [int], _rule(count, least=1), "ae_hidden"),
+    Field("lle.k_neighbors", int, _rule(count, least=1), "lle_neighbors"),
+    Field("lle.reg", float, _rule(real, above=0), "lle_reg"),
 )
 
 
@@ -310,15 +306,15 @@ class PropensityRun:
 
 
 PROPENSITY_FIELDS = (
-    Field("seed", int, _at_least(0)),
-    Field("dataset.n_pairs", int, _at_least(2), "n_pairs"),
-    Field("dataset.jitter_sigma", float, _POSITIVE, "jitter_sigma"),
+    Field("seed", int, _rule(count, least=0)),
+    Field("dataset.n_pairs", int, _rule(count, least=2), "n_pairs"),
+    Field("dataset.jitter_sigma", float, _rule(real, above=0), "jitter_sigma"),
     Field("methods", [str], _methods(MODEL_KINDS)),
     # Bounded by PropensityFitConfig and its TrainConfig, as are net.* and logistic.*.
     Field("test_fraction", float, attr="fit.test_fraction"),
     Field("include_outcome", bool),
-    Field("query_arm", int, _ARM),
-    Field("threshold", float, _OPEN_UNIT),
+    Field("query_arm", int, _rule(count, least=0, most=1)),
+    Field("threshold", float, _rule(real, above=0, below=1)),
     Field("net.epochs", int, attr="fit.net.epochs"),
     Field("net.batch_size", int, attr="fit.net.batch_size"),
     Field("logistic.l2", float, attr="fit.l2"),
@@ -340,10 +336,10 @@ class GradcheckRun:
 
 
 GRADCHECK_FIELDS = (
-    Field("seed", int, _at_least(0)),
-    Field("count", int, _at_least(1)),
-    Field("step", float, _POSITIVE),
-    Field("tolerance", float, _POSITIVE),
+    Field("seed", int, _rule(count, least=0)),
+    Field("count", int, _rule(count, least=1)),
+    Field("step", float, _rule(real, above=0)),
+    Field("tolerance", float, _rule(real, above=0)),
     Field("corrupt", bool),
 )
 

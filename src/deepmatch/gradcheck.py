@@ -6,6 +6,7 @@ The oracle only ever calls the forward pass and the loss; it never touches
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .network import LayerSpec, Network, NetworkSpec, init_network
 def finite_difference_gradients(net: Network, x: np.ndarray, y: np.ndarray,
                                 step: float = 1e-5) -> np.ndarray:
     """Central-difference loss gradient in the `theta` layout (dropout off)."""
+    data.real(step, "step", above=0)
     theta = net.theta
     grad = np.zeros_like(theta)
     for i in range(theta.size):
@@ -31,7 +33,10 @@ def finite_difference_gradients(net: Network, x: np.ndarray, y: np.ndarray,
 
 
 def _worst_relative_error(net: Network, analytic: np.ndarray, numeric: np.ndarray) -> float:
-    # the relative error of each weight matrix and bias vector on its own scale
+    # the relative error of each weight matrix and bias vector on its own scale;
+    # any non-finite entry fails the case, as every comparison with a NaN is false
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        return math.inf
     worst = 0.0
     for tensors in zip(net.split(analytic), net.split(numeric)):
         for a, nmr in zip(*tensors):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroundTruth, finite_matrix, finite_vector, treatment
+from .data import GroundTruth, finite_matrix, finite_vector, real, treatment
 from .matching import EffectEstimate, _check_span, _distances
 
 # Previously reported results for the jittered-pairs benchmark, as
@@ -137,6 +137,7 @@ def misassignment_report(
 
 def threshold_labels(scores: np.ndarray, threshold: float = ACCURACY_THRESHOLD) -> np.ndarray:
     """Hard labels from scores; ties at the threshold go to class 1."""
+    real(threshold, "threshold", above=0, below=1)
     return (finite_vector(scores, "scores") >= threshold).astype(int)
 
 

@@ -107,9 +107,7 @@ class LayerSpec:
         count(self.fan_out, "fan_out", 1)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        real(self.dropout_rate, "dropout_rate")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        real(self.dropout_rate, "dropout_rate", at_least=0, below=1)
 
 
 @dataclass(frozen=True)

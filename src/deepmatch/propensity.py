@@ -115,14 +115,9 @@ class PropensityFitConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("test_fraction", "l2", "grad_tol"):
-            real(getattr(self, name), name)
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0,1), got {self.test_fraction}")
-        if not (np.isfinite(self.l2) and self.l2 >= 0):
-            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
-        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
+        real(self.test_fraction, "test_fraction", above=0, below=1)
+        real(self.l2, "l2", at_least=0)
+        real(self.grad_tol, "grad_tol", above=0)
         count(self.max_iter, "max_iter", 1)
 
 

@@ -117,7 +117,7 @@ class TestSwissRoll:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n must"):
             SwissRollConfig(n=1)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape("noise_sigma must be >= 0, got nan")):
             SwissRollConfig(noise_sigma=float("nan"))
         with pytest.raises(ValueError, match="p_treat"):
             SwissRollConfig(p_treat=1.5)
@@ -126,18 +126,20 @@ class TestSwissRoll:
 
 
     @pytest.mark.parametrize(
-        "field, bad",
+        "field, bad, message",
         [
-            ("coeff_control", (1.0, 1.0)),
-            ("coeff_control", [1.0, 1.0, 1.0]),
-            ("coeff_treated", (2.0, float("nan"), 1.0)),
-            ("coeff_treated", (2.0, True, 1.0)),
-            ("coeff_treated", (2.0, "1", 1.0)),
+            ("coeff_control", (1.0, 1.0), "coeff_control must be a tuple of 3 finite numbers"),
+            ("coeff_control", [1.0, 1.0, 1.0], "coeff_control must be a tuple of 3 finite numbers"),
+            # each entry is held by `real`, which names it
+            ("coeff_treated", (2.0, float("nan"), 1.0),
+             "coeff_treated[1] must be a finite number, got nan"),
+            ("coeff_treated", (2.0, True, 1.0), "coeff_treated[1] must be a real number, got True"),
+            ("coeff_treated", (2.0, "1", 1.0), "coeff_treated[1] must be a real number, got '1'"),
         ],
         ids=["two-numbers", "list", "nan", "bool", "string"],
     )
-    def test_coefficients_are_three_finite_numbers(self, field, bad):
-        with pytest.raises(ValueError, match=f"^{field} must be a tuple of 3 finite numbers"):
+    def test_coefficients_are_three_finite_numbers(self, field, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             SwissRollConfig(**{field: bad})
         cfg = SwissRollConfig(**{field: (np.int64(1), np.float64(2.0), -0.5)})
         assert gen_swiss_roll(cfg, 0).x.shape == (1500, 3)
@@ -445,63 +447,108 @@ def test_config_counts_must_be_integers(build, field, bad):
 
 
 def _integer_arguments():
-    # name -> (call with the argument v, a good value, a bad value, the name in the message)
+    # name -> (call with the argument v, a good value, a bad value, the name in the message,
+    #          {a value outside the argument's interval: the bound its message states})
     return {
-        "knn.k-float": (lambda v: matching.knn(_X, _X, v), 2, 2.5, "k"),
-        "knn.k-bool": (lambda v: matching.knn(_X, _X, v), 2, True, "k"),
-        "estimate_effects.k": (lambda v: matching.estimate_effects(_X, _W, _Y, k=v), 1, 1.5, "k"),
+        "knn.k-float": (lambda v: matching.knn(_X, _X, v), 2, 2.5, "k", {0: ">= 1"}),
+        "knn.k-bool": (lambda v: matching.knn(_X, _X, v), 2, True, "k", {-1: ">= 1"}),
+        "estimate_effects.k": (
+            lambda v: matching.estimate_effects(_X, _W, _Y, k=v), 1, 1.5, "k", {0: ">= 1"}),
         "estimate_effects_pooled.k": (
-            lambda v: matching.estimate_effects_pooled(_X, _W, _Y, _X, _W, _Y, k=v), 1, 1.5, "k"),
+            lambda v: matching.estimate_effects_pooled(_X, _W, _Y, _X, _W, _Y, k=v), 1, 1.5, "k",
+            {0: ">= 1"}),
         "balance_report.n_strata": (
-            lambda v: propensity.balance_report(_X, _W, _SCORES, n_strata=v), 2, 2.5, "n_strata"),
+            lambda v: propensity.balance_report(_X, _W, _SCORES, n_strata=v), 2, 2.5, "n_strata",
+            {0: ">= 1"}),
         "fit_lle.k_neighbors": (
-            lambda v: embedding.fit_lle(_X, 1, k_neighbors=v), 4, 4.5, "k_neighbors"),
-        "fit_pca.m": (lambda v: embedding.fit_pca(_X, v), 1, 1.5, "target dimension"),
-        "gen_propensity_pairs.n": (lambda v: gen_propensity_pairs(v, 0.1, 0), 3, 2.5, "n"),
-        "train_test_split.n": (lambda v: train_test_split(v, 0.2, 0), 10, 2.5, "n"),
-        "LayerSpec.fan_in-float": (lambda v: network.LayerSpec(v, 3), 2, 2.5, "fan_in"),
-        "LayerSpec.fan_in-bool": (lambda v: network.LayerSpec(v, 1), 1, True, "fan_in"),
-        "LayerSpec.fan_out": (lambda v: network.LayerSpec(3, v), 2, 2.5, "fan_out"),
+            lambda v: embedding.fit_lle(_X, 1, k_neighbors=v), 4, 4.5, "k_neighbors",
+            {1: ">= 2", 12: "<= 11"}),
+        "lle_weight_matrix.k_neighbors-float": (
+            lambda v: embedding.lle_weight_matrix(_X, v, 1e-3), 3, 2.0, "k_neighbors",
+            {0: ">= 1", 12: "<= 11"}),
+        "lle_weight_matrix.k_neighbors-bool": (
+            lambda v: embedding.lle_weight_matrix(_X, v, 1e-3), 1, True, "k_neighbors",
+            {-2: ">= 1"}),
+        "fit_pca.m": (lambda v: embedding.fit_pca(_X, v), 1, 1.5, "target dimension",
+                      {0: ">= 1", 3: "<= 2"}),
+        "gen_propensity_pairs.n": (lambda v: gen_propensity_pairs(v, 0.1, 0), 3, 2.5, "n",
+                                   {0: ">= 1"}),
+        "train_test_split.n": (lambda v: train_test_split(v, 0.2, 0), 10, 2.5, "n", {0: ">= 1"}),
+        "LayerSpec.fan_in-float": (lambda v: network.LayerSpec(v, 3), 2, 2.5, "fan_in", {0: ">= 1"}),
+        "LayerSpec.fan_in-bool": (lambda v: network.LayerSpec(v, 1), 1, True, "fan_in", {0: ">= 1"}),
+        "LayerSpec.fan_out": (lambda v: network.LayerSpec(3, v), 2, 2.5, "fan_out", {0: ">= 1"}),
         "build_propensity_net.input_dim": (
-            lambda v: propensity.build_propensity_net(v), 2, 2.5, "input_dim"),
-        "default_grid.count-float": (lambda v: gradcheck.default_grid(v), 2, 2.5, "count"),
-        "default_grid.count-bool": (lambda v: gradcheck.default_grid(v), 1, True, "count"),
+            lambda v: propensity.build_propensity_net(v), 2, 2.5, "input_dim", {0: ">= 1"}),
+        "default_grid.count-float": (lambda v: gradcheck.default_grid(v), 2, 2.5, "count",
+                                     {0: ">= 1"}),
+        "default_grid.count-bool": (lambda v: gradcheck.default_grid(v), 1, True, "count",
+                                    {-1: ">= 1"}),
     }
 
 
 @pytest.mark.parametrize("entry", list(_integer_arguments()))
 def test_integer_arguments_rejected_where_they_enter(entry):
-    call, good, bad, name = _integer_arguments()[entry]
+    call, good, bad, name, outside = _integer_arguments()[entry]
     call(np.int64(good))  # a NumPy integer is an integer
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
         call(bad)
+    for value, bound in outside.items():
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {bound}, got {value}")):
+            call(value)
+
+
+def _finite_differences(step):
+    net = network.init_network(network.NetworkSpec((network.LayerSpec(2, 1),)), seed=0)
+    return gradcheck.finite_difference_gradients(net, _X, _Y[:, None], step)
 
 
 def _real_arguments():
-    # name -> (call with the argument v, a good value, a bad value, the name in the message)
+    # name -> (call with the argument v, a good value, a bad value, the name in the message,
+    #          the argument's interval as its message states it, a finite value outside it)
     return {
         "SwissRollConfig.noise_sigma": (lambda v: SwissRollConfig(noise_sigma=v), 0.05, "a",
-                                        "noise_sigma"),
+                                        "noise_sigma", ">= 0", -0.1),
         "SwissRollConfig.outcome_noise_sigma": (
-            lambda v: SwissRollConfig(outcome_noise_sigma=v), 0.0, "0", "outcome_noise_sigma"),
-        "SwissRollConfig.p_treat": (lambda v: SwissRollConfig(p_treat=v), 0.5, True, "p_treat"),
+            lambda v: SwissRollConfig(outcome_noise_sigma=v), 0.0, "0", "outcome_noise_sigma",
+            ">= 0", -1.0),
+        "SwissRollConfig.p_treat": (lambda v: SwissRollConfig(p_treat=v), 0.5, True, "p_treat",
+                                    "in [0, 1]", 1.5),
         "LayerSpec.dropout_rate": (lambda v: network.LayerSpec(2, 3, dropout_rate=v), 0.1, "0.1",
-                                   "dropout_rate"),
+                                   "dropout_rate", "in [0, 1)", 1.0),
         "PropensityFitConfig.test_fraction": (
-            lambda v: propensity.PropensityFitConfig(test_fraction=v), 0.2, None, "test_fraction"),
-        "PropensityFitConfig.l2": (lambda v: propensity.PropensityFitConfig(l2=v), 0.0, "x", "l2"),
+            lambda v: propensity.PropensityFitConfig(test_fraction=v), 0.2, None, "test_fraction",
+            "in (0, 1)", 0.0),
+        "PropensityFitConfig.l2": (lambda v: propensity.PropensityFitConfig(l2=v), 0.0, "x", "l2",
+                                   ">= 0", -1.0),
         "PropensityFitConfig.grad_tol": (
-            lambda v: propensity.PropensityFitConfig(grad_tol=v), 1e-8, False, "grad_tol"),
+            lambda v: propensity.PropensityFitConfig(grad_tol=v), 1e-8, False, "grad_tol", "> 0",
+            0.0),
         "gen_propensity_pairs.jitter_sigma": (lambda v: gen_propensity_pairs(3, v, 0), 0.1, "0.1",
-                                              "jitter_sigma"),
+                                              "jitter_sigma", "> 0", 0.0),
         "train_test_split.test_fraction": (lambda v: train_test_split(10, v, 0), 0.2, [0.2],
-                                           "test_fraction"),
+                                           "test_fraction", "in (0, 1)", 1.0),
+        "fit_lle.reg": (lambda v: embedding.fit_lle(_X, 1, k_neighbors=4, reg=v), 1e-3, True,
+                        "reg", "> 0", 0.0),
+        "lle_weight_matrix.reg": (lambda v: embedding.lle_weight_matrix(_X, 3, v), 1e-3, "0.1",
+                                  "reg", "> 0", -1.0),
+        "threshold_labels.threshold": (lambda v: metrics.threshold_labels(_SCORES, v), 0.5, True,
+                                       "threshold", "in (0, 1)", 1.5),
+        "finite_difference_gradients.step": (_finite_differences, 1e-5, True, "step", "> 0", 0.0),
+        "run_case.step": (lambda v: gradcheck.run_case(gradcheck.default_grid(1)[0], step=v),
+                          1e-5, "1e-5", "step", "> 0", -1e-5),
     }
 
 
 @pytest.mark.parametrize("entry", list(_real_arguments()))
 def test_real_arguments_rejected_where_they_enter(entry):
-    call, good, bad, name = _real_arguments()[entry]
+    call, good, bad, name, bound, outside = _real_arguments()[entry]
     call(np.float64(good))  # a NumPy float is a real number
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {bad!r}")):
         call(bad)
+    # the interval is tested first, so a NaN and an infinity it excludes read as outside it;
+    # every interval here has a lower bound, and only those written "in" an upper one
+    unbounded_above = not bound.startswith("in ")
+    for value in (outside, math.nan, -math.inf, math.inf):
+        text = "a finite number" if value == math.inf and unbounded_above else bound
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {text}, got {value}")):
+            call(value)

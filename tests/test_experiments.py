@@ -1,6 +1,7 @@
 """Config parsing, experiment runners, output files, and the CLI."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -422,6 +423,79 @@ class TestRunGradcheck:
         assert any(not r["pass"] for r in results)
 
 
+# One bad value of every numeric config field, and the whole of stderr it gives.
+_BAD_NUMERIC_VALUES = [
+    ("swissroll", {"seed": -1},
+     "error: config.seed must be >= 0, got -1\n"),
+    ("swissroll", {"dataset": {"n": 1}},
+     "error: config.dataset.n: n must be >= 2, got 1\n"),
+    ("swissroll", {"dataset": {"noise_sigma": -0.1}},
+     "error: config.dataset.noise_sigma: noise_sigma must be >= 0, got -0.1\n"),
+    ("swissroll", {"dataset": {"coeff_control": [1, 2]}},
+     "error: config.dataset.coeff_control must be a list of 3 values\n"),
+    ("swissroll", {"dataset": {"coeff_treated": [1, math.nan, 2]}},
+     "error: config.dataset.coeff_treated[1] must be a finite number, got nan\n"),
+    ("swissroll", {"dataset": {"outcome_noise_sigma": -1}},
+     "error: config.dataset.outcome_noise_sigma: outcome_noise_sigma must be >= 0, got -1.0\n"),
+    ("swissroll", {"dataset": {"p_treat": 1.5}},
+     "error: config.dataset.p_treat: p_treat must be in [0, 1], got 1.5\n"),
+    ("swissroll", {"test_fraction": 1.0},
+     "error: config.test_fraction must be in (0, 1), got 1.0\n"),
+    ("swissroll", {"k_matches": 0},
+     "error: config.k_matches must be >= 1, got 0\n"),
+    ("swissroll", {"embed_dim": 0},
+     "error: config.embed_dim must be >= 1, got 0\n"),
+    ("swissroll", {"autoencoder": {"epochs": 0}},
+     "error: config.autoencoder.epochs: epochs must be >= 1, got 0\n"),
+    ("swissroll", {"autoencoder": {"batch_size": 0}},
+     "error: config.autoencoder.batch_size: batch_size must be >= 1, got 0\n"),
+    ("swissroll", {"autoencoder": {"hidden": [4, 0]}},
+     "error: config.autoencoder.hidden must be >= 1, got 0\n"),
+    ("swissroll", {"lle": {"k_neighbors": 0}},
+     "error: config.lle.k_neighbors must be >= 1, got 0\n"),
+    ("swissroll", {"lle": {"reg": 0}},
+     "error: config.lle.reg must be > 0, got 0.0\n"),
+    ("propensity", {"seed": -1},
+     "error: config.seed must be >= 0, got -1\n"),
+    ("propensity", {"dataset": {"n_pairs": 1}},
+     "error: config.dataset.n_pairs must be >= 2, got 1\n"),
+    ("propensity", {"dataset": {"jitter_sigma": 0}},
+     "error: config.dataset.jitter_sigma must be > 0, got 0.0\n"),
+    ("propensity", {"test_fraction": 1.5},
+     "error: config.test_fraction: test_fraction must be in (0, 1), got 1.5\n"),
+    ("propensity", {"query_arm": 2},
+     "error: config.query_arm must be <= 1, got 2\n"),
+    ("propensity", {"query_arm": -1},
+     "error: config.query_arm must be >= 0, got -1\n"),
+    ("propensity", {"threshold": 0},
+     "error: config.threshold must be in (0, 1), got 0.0\n"),
+    ("propensity", {"net": {"epochs": 0}},
+     "error: config.net.epochs: epochs must be >= 1, got 0\n"),
+    ("propensity", {"net": {"batch_size": -3}},
+     "error: config.net.batch_size: batch_size must be >= 1, got -3\n"),
+    ("propensity", {"logistic": {"l2": -1}},
+     "error: config.logistic.l2: l2 must be >= 0, got -1.0\n"),
+    ("propensity", {"logistic": {"max_iter": 0}},
+     "error: config.logistic.max_iter: max_iter must be >= 1, got 0\n"),
+    ("propensity", {"logistic": {"grad_tol": 0}},
+     "error: config.logistic.grad_tol: grad_tol must be > 0, got 0.0\n"),
+    ("gradcheck", {"seed": -2},
+     "error: config.seed must be >= 0, got -2\n"),
+    ("gradcheck", {"count": 0},
+     "error: config.count must be >= 1, got 0\n"),
+    ("gradcheck", {"step": -1e-05},
+     "error: config.step must be > 0, got -1e-05\n"),
+    ("gradcheck", {"tolerance": 0},
+     "error: config.tolerance must be > 0, got 0.0\n"),
+]
+
+
+def _one_value(doc) -> str:
+    """"section.key=value" of a document that sets one value."""
+    ((key, value),) = doc.items()
+    return f"{key}.{_one_value(value)}" if isinstance(value, dict) else f"{key}={value}"
+
+
 class TestCli:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
@@ -544,6 +618,18 @@ class TestCli:
         assert rc == 1
         assert err.startswith(f"error: {path}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, doc, stderr", _BAD_NUMERIC_VALUES,
+        ids=[f"{command}-{_one_value(doc)}" for command, doc, _ in _BAD_NUMERIC_VALUES],
+    )
+    def test_bad_numeric_value_gives_exactly_its_message(self, tmp_path, capsys, command, doc,
+                                                         stderr):
+        # the whole of stderr is pinned, so that any change to a message shows
+        rc = main([command, "--config", self.write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == stderr
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from deepmatch.gradcheck import (
     finite_difference_gradients,
     run_case,
 )
-from deepmatch.network import LayerSpec, NetworkSpec, init_network
+from deepmatch.network import LayerSpec, Network, NetworkSpec, init_network
 
 
 def test_default_grid_size_and_coverage():
@@ -35,6 +37,35 @@ def test_grid_gradients_match_finite_differences():
 def test_corrupted_gradient_detected():
     case = default_grid(4, seed=0)[0]
     assert run_case(case, corrupt=True) > 1e-2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_analytic_gradient_fails_its_case(monkeypatch, bad):
+    # as `corrupt` adds 1 to the first entry, this puts a NaN or inf into the last;
+    # folded with Python's max, a NaN error compares false and was skipped
+    backward = Network.backward
+
+    def poisoned(self, cache, target):
+        grad = backward(self, cache, target)
+        grad[-1] = bad
+        return grad
+
+    monkeypatch.setattr(Network, "backward", poisoned)
+    for case in default_grid(2, seed=0):
+        assert run_case(case) == math.inf
+
+
+@pytest.mark.parametrize("side", ["analytic", "numeric"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entry_on_either_side_is_the_worst_error(side, bad):
+    spec = NetworkSpec((LayerSpec(2, 1),))
+    net = init_network(spec, seed=3)
+    x = np.random.default_rng(2).standard_normal((4, 2))
+    y = np.random.default_rng(3).standard_normal((4, 1))
+    grads = {"analytic": net.backward(net.forward(x), y),
+             "numeric": finite_difference_gradients(net, x, y)}
+    grads[side][-1] = bad
+    assert _worst_relative_error(net, grads["analytic"], grads["numeric"]) == math.inf
 
 
 def test_empty_grid_rejected():

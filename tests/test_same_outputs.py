@@ -37,3 +37,11 @@ def test_every_differing_or_one_sided_output_is_named(tmp_path):
 
 def test_seed_ranges():
     assert _tool().seed_list("1001-1003,7") == [1001, 1002, 1003, 7]
+
+
+def test_every_demo_runs_once_without_tiny():
+    tool = _tool()
+    full, tiny = tool.runs([1, 2], tiny=False), tool.runs([1, 2], tiny=True)
+    assert [name for name, _, _ in full[:len(tiny)]] == [name for name, _, _ in tiny]
+    demos = sorted(args for _, args, _ in full[len(tiny):])
+    assert demos == [[f"demos/{p.name}"] for p in sorted((ROOT / "demos").glob("*.py"))]

@@ -2,14 +2,16 @@
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [--seeds 1001-1005] [--tiny]
 
-Every run is a fresh `python -m deepmatch.cli` process of one tree, with
-that tree's `src/` on PYTHONPATH, OpenBLAS at one thread and no bytecode
-written. At each seed the runs are the first config of every workload in
-`bench/workloads.py` (at its `tiny` sizes with --tiny), a default
-`propensity` run and a default `gradcheck` run. Each run writes to `out` in
-a working directory of its own, so stdout names the same path on both
-sides. Every output file, stdout, stderr and the exit status are compared;
-each one that differs is printed, and the exit status is 1 if any differs.
+Every run is a fresh Python process of one tree, with that tree's `src/`
+on PYTHONPATH, OpenBLAS at one thread and no bytecode written. At each seed
+the runs are `python -m deepmatch.cli` with the first config of every
+workload in `bench/workloads.py` (at its `tiny` sizes with --tiny), a
+default `propensity` run and a default `gradcheck` run. Without --tiny each
+script in `demos/` also runs once; the demos have no tiny size. Each run
+works in a directory of its own, and a CLI run writes to `out` there, so
+stdout names the same path on both sides. Every output file, stdout, stderr
+and the exit status are compared; each one that differs is printed, and the
+exit status is 1 if any differs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
 
+DEMOS = ("twin_recovery", "propensity_workflow", "gradient_audit", "embedding_comparison")
+
+
 def runs(seeds: list[int], tiny: bool) -> list[tuple[str, list[str], dict | None]]:
-    """(name, CLI arguments, config document or None) of every run."""
+    """(name, CLI arguments or a demo's path in the tree, config document or None)
+    of every run."""
     out = []
     for seed in seeds:
         for name in workloads.WORKLOADS:
@@ -36,18 +42,23 @@ def runs(seeds: list[int], tiny: bool) -> list[tuple[str, list[str], dict | None
             out.append((f"{name}@{seed}", [doc["experiment"], "--config", "config.json"], doc))
         for experiment in ("propensity", "gradcheck"):
             out.append((f"{experiment}@{seed}", [experiment, "--seed", str(seed)], None))
+    if not tiny:
+        out += [(f"demo {demo}", [f"demos/{demo}.py"], None) for demo in DEMOS]
     return out
 
 
 def run(tree: Path, args: list[str], doc: dict | None, work: Path) -> dict[str, bytes]:
-    """Run the CLI of `tree` in `work`; returns every output, by name."""
+    """Run the CLI of `tree`, or one of its demos, in `work`; returns every output, by name."""
     work.mkdir(parents=True)
     if doc is not None:
         (work / "config.json").write_text(json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"),
            "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-m", "deepmatch.cli", *args, "--out", "out"],
-                          cwd=work, env=env, capture_output=True)
+    if args[0].startswith("demos/"):
+        command = [str(tree.resolve() / args[0])]
+    else:
+        command = ["-m", "deepmatch.cli", *args, "--out", "out"]
+    done = subprocess.run([sys.executable, *command], cwd=work, env=env, capture_output=True)
     return {"exit status": str(done.returncode).encode(), "stdout": done.stdout,
             "stderr": done.stderr,
             **{f"out/{name}": data for name, data in files(work / "out").items()}}

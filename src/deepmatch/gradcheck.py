@@ -21,14 +21,16 @@ def finite_difference_gradients(net: Network, x: np.ndarray, y: np.ndarray,
     data.real(step, "step", above=0)
     theta = net.theta
     grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + step
-        up = net.loss(net.predict(x), y)
-        theta[i] = orig - step
-        down = net.loss(net.predict(x), y)
-        theta[i] = orig
-        grad[i] = (up - down) / (2.0 * step)
+    # a loss that overflows leaves an inf or NaN entry, which fails the case
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(theta.size):
+            orig = theta[i]
+            theta[i] = orig + step
+            up = net.loss(net.predict(x), y)
+            theta[i] = orig - step
+            down = net.loss(net.predict(x), y)
+            theta[i] = orig
+            grad[i] = (up - down) / (2.0 * step)
     return grad
 
 

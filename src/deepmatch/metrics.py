@@ -109,8 +109,9 @@ def misassignment_report(
     rate = share of queries not matched to their pair; error = mean
     |matched - pair| as a fraction of the number of queries (index-offset
     distance, stable under dataset row order); accuracy = share of held-out
-    units whose score, thresholded at 0.5, equals their true treatment
-    label. predicted_w and true_w are the held-out vectors, already aligned.
+    units whose predicted label equals their true treatment label.
+    predicted_w and true_w are the held-out vectors, already aligned; the
+    pipeline predicts with `threshold_labels` at the run's `threshold`.
     """
     if pair_index is None:
         raise ValueError("dataset has no pair links; misassignment is undefined")

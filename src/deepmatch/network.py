@@ -272,10 +272,7 @@ class Network:
         target = np.asarray(target, dtype=float)
         if output.shape != target.shape or not len(output):
             raise ValueError(f"output {output.shape} vs target {target.shape}: empty or unequal")
-        if self.spec.loss == "mse":
-            return _mse(output - target, output.shape[0])
-        p = np.clip(output, CCE_CLAMP, 1.0)
-        return float(np.mean(-np.sum(target * np.log(p), axis=1)))
+        return _mean_loss(self.spec.loss, output, target, output - target, output.shape[0])
 
     def backward(self, cache: ForwardPass, target: np.ndarray) -> np.ndarray:
         """Exact loss gradient w.r.t. `theta`, in its layout, from `forward`'s `cache`."""
@@ -408,19 +405,24 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
     theta -= lr * grad
 
 
-def _mse(residuals: np.ndarray, batch_size: int) -> float:
-    """The mean of each batch's MSE over the batches of `batch_size` residual rows.
+def _mean_loss(loss: str, outputs: np.ndarray | None, targets: np.ndarray,
+               residuals: np.ndarray, batch_size: int) -> float:
+    """The mean over the batches of `batch_size` rows of each batch's mean row loss.
 
-    Each batch's loss is the mean over its rows of the row's sum of squares,
-    reduced as np.mean reduces the batch's own row sums, so it holds the same
-    bits as a loss taken batch by batch; one batch of every row is the MSE.
+    A row's loss is its residual's sum of squares for MSE, which reads no
+    `outputs`, and -sum(target * log(output)), the output clamped below at
+    CCE_CLAMP, for cross-entropy. Each batch's mean is reduced as np.mean
+    reduces its rows, so it holds the bits of a loss taken batch by batch.
     """
-    rows = np.sum(np.square(residuals), axis=1)
+    if loss == "mse":
+        rows = np.sum(np.square(residuals), axis=1)
+    else:
+        rows = -np.sum(targets * np.log(np.clip(outputs, CCE_CLAMP, 1.0)), axis=1)
     full = rows.shape[0] - rows.shape[0] % batch_size
-    batch_losses = np.sum(rows[:full].reshape(-1, batch_size), axis=1) / batch_size
+    means = np.sum(rows[:full].reshape(-1, batch_size), axis=1) / batch_size
     if full < rows.shape[0]:
-        batch_losses = np.append(batch_losses, np.mean(rows[full:]))
-    return float(np.mean(batch_losses))
+        means = np.append(means, np.mean(rows[full:]))
+    return float(np.mean(means))
 
 
 def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
@@ -439,24 +441,20 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     autoencoder's targets, and each batch's step runs its forward
     pass, backward pass and `adadelta_step` on its rows, views of that buffer,
     through one workspace per batch length (the full batch and the last one),
-    one gradient vector and the adadelta state. An MSE loss is not recomputed:
-    the backward pass writes output - target to the batch's rows of the epoch
-    residuals, and the epoch loss is reduced from them as batch-by-batch
-    losses would be. The gradient uses the same residual, so both come from
-    one subtraction, and the history and `theta` keep their bits.
+    one gradient vector and the adadelta state. The backward pass writes
+    output - target to the batch's rows of the epoch residuals, and a
+    classifier's step copies its outputs to the epoch's; `_mean_loss` reduces
+    the epoch loss from them as batch-by-batch losses would be. An MSE
+    gradient uses the same residual, so both come from one subtraction, and
+    the history and `theta` keep their bits.
     """
-    x = finite_matrix(inputs, "training inputs")
-    y = finite_matrix(targets, "training targets")
+    x = finite_matrix(inputs, "training inputs", net.spec.input_dim)
+    y = finite_matrix(targets, "training targets", net.spec.output_dim)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"inputs ({x.shape[0]} rows) vs targets ({y.shape[0]} rows)")
     if x.shape[0] == 0:
         raise ValueError("training needs at least one row of finite inputs and targets")
     n, size, spec = x.shape[0], cfg.batch_size, net.spec
-    if x.shape[1] != spec.input_dim:  # reported as the first batch, as a step would see it
-        raise ValueError(f"input must be 2-D with {spec.input_dim} columns, "
-                         f"got shape {x[:size].shape}")
-    if y.shape[1] != spec.output_dim:
-        raise ValueError(f"output {(min(size, n), spec.output_dim)} vs target {y[:size].shape}")
     rng = np.random.default_rng(seed)
     theta = net.theta
     steps = np.zeros((2, theta.size))  # the gradient and adadelta's -delta
@@ -468,19 +466,14 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
     xs = np.empty_like(x1)  # the epoch's shuffled rows
     ys = xs[:, :-1] if y is x else np.empty_like(y)
     residuals = np.empty((n, spec.output_dim))
-    mse = spec.loss == "mse"
-    batch_losses = []
-
-    def record_loss(output, target):
-        batch_losses.append(net.loss(output, target))
-
+    outputs = None if spec.loss == "mse" else np.empty_like(residuals)
     epoch_calls = []
     for start in range(0, n, size):
         rows = slice(start, start + size)
         cache = spaces[min(size, n - start)]
         epoch_calls += _forward_calls(net, cache, xs[rows], rng)
-        if not mse:
-            epoch_calls.append((record_loss, (cache.output, ys[rows])))
+        if outputs is not None:
+            epoch_calls.append((np.copyto, (outputs[rows], cache.output)))
         epoch_calls += _backward_calls(net, cache, ys[rows], residuals[rows], grads)
         epoch_calls.append((adadelta_step, (theta, steps, state, roots)))
 
@@ -490,9 +483,8 @@ def train(net: Network, inputs: np.ndarray, targets: np.ndarray,
         np.take(x1, order, 0, xs, "clip")  # "raise" would buffer the output
         if y is not x:
             np.take(y, order, 0, ys, "clip")
-        batch_losses.clear()
         _run(epoch_calls)
-        epoch_loss = _mse(residuals, size) if mse else float(np.mean(batch_losses))
+        epoch_loss = _mean_loss(spec.loss, outputs, ys, residuals, size)
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
         if not np.all(np.isfinite(theta)):

@@ -516,6 +516,24 @@ class TestCli:
         assert rc == 2
         assert "failed" in capsys.readouterr().err
 
+    def test_overflowing_gradcheck_writes_strict_json(self, tmp_path, capsys):
+        # a step of 1e300 overflows case 0's losses: its error is inf, which
+        # reports.json writes as null, the CSV and the summary as inf
+        cfg = self.write_config(tmp_path, {"experiment": "gradcheck", "step": 1e300, "count": 3})
+        rc = main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "gradcheck failed\n"
+        assert "worst inf" in captured.out
+
+        def refuse(name):
+            raise ValueError(f"reports.json holds {name}")
+
+        text = (tmp_path / "out" / "reports.json").read_text()
+        assert json.loads(text, parse_constant=refuse)["cases"][0]["max_relative_error"] is None
+        assert (tmp_path / "out" / "comparison.csv").read_text().splitlines()[1].endswith(
+            ",inf,False")
+
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"bogus": 1})
         rc = main(["swissroll", "--config", cfg, "--out", str(tmp_path / "out")])

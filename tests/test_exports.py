@@ -4,8 +4,11 @@ every function the benchmark tracer wraps by name still exists and is called."""
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import deepmatch
-from deepmatch.experiments import EXPERIMENTS, run_propensity
+from deepmatch.data import duplicate_twins, gen_swiss_roll
+from deepmatch.experiments import EXPERIMENTS, run_propensity, run_swissroll
 
 
 def test_all_names_resolve_once_and_star_import_works():
@@ -47,3 +50,22 @@ def test_propensity_run_calls_the_traced_fitters(monkeypatch, tmp_path):
             if name == "propensity.fit_logistic"]
     assert len(fits) == 1 and fits[0] > 0
     assert any(name == "network.optimizer" for name, *_ in tracer.spans)
+
+
+def test_twin_run_matches_through_one_traced_call_per_method(monkeypatch, tmp_path):
+    # The twin-match workload's matching layer: every unit queries the
+    # opposite arm of the whole set, so n queries and 2 n1 n0 distances.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    cfg = EXPERIMENTS["swissroll"].parse(
+        {"dataset": {"n": 200}, "twin_mode": True, "methods": ["raw_knn", "pca"]}
+    )
+    tracer.install()
+    try:
+        run_swissroll(cfg, tmp_path / "out")
+    finally:
+        tracer.restore()
+    w = duplicate_twins(gen_swiss_roll(cfg.dataset, cfg.seed)).w
+    n1, n0 = int(np.sum(w == 1)), int(np.sum(w == 0))
+    effects = [extra for name, _, _, _, extra in tracer.spans if name == "matching.effects"]
+    assert effects == [{"queries": w.shape[0], "distances": 2 * n1 * n0}] * 2

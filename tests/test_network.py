@@ -497,6 +497,8 @@ class TestTrain:
         "spec, cfg, seed",
         [
             (build_propensity_net(3), TrainConfig(epochs=3, batch_size=16), 4),
+            (build_propensity_net(3), TrainConfig(epochs=2, batch_size=1), 15),
+            (build_propensity_net(3), TrainConfig(epochs=3, batch_size=200), 16),
             (autoencoder_spec(3, 2), TrainConfig(epochs=6), 5),
             (autoencoder_spec(3, 2, hidden=(4,)), TrainConfig(epochs=6), 11),
             (autoencoder_spec(3, 2), TrainConfig(epochs=2, batch_size=1), 6),
@@ -512,7 +514,8 @@ class TestTrain:
             (autoencoder_spec(3, 2, hidden=(32, 16)), TrainConfig(epochs=3), 13),
             (autoencoder_spec(3, 2), TrainConfig(epochs=4, batch_size=149), 14),
         ],
-        ids=["propensity_net_dropout", "autoencoder_default", "autoencoder_hidden", "batch_size_1",
+        ids=["propensity_net_dropout", "classifier_batch_size_1", "classifier_batch_size_above_n",
+             "autoencoder_default", "autoencoder_hidden", "batch_size_1",
              "batch_size_above_n", "batch_size_divides_n", "relu_sigmoid_dropout",
              "tanh_final_mse", "autoencoder_hidden_32_16", "remainder_batch_of_one"],
     )
@@ -549,10 +552,13 @@ class TestTrain:
         "spec, inputs, targets, message",
         [
             (autoencoder_spec(3, 2), (40, 5), (40, 3),
-             "input must be 2-D with 3 columns, got shape (32, 5)"),
-            (autoencoder_spec(3, 2), (40, 3), (40, 4), "output (32, 3) vs target (32, 4)"),
-            (autoencoder_spec(3, 2), (20, 3), (20, 2), "output (20, 3) vs target (20, 2)"),
-            (build_propensity_net(3), (40, 3), (40, 3), "output (32, 2) vs target (32, 3)"),
+             "training inputs must be an n x 3 matrix, got shape (40, 5)"),
+            (autoencoder_spec(3, 2), (40, 3), (40, 4),
+             "training targets must be an n x 3 matrix, got shape (40, 4)"),
+            (autoencoder_spec(3, 2), (20, 3), (20, 2),
+             "training targets must be an n x 3 matrix, got shape (20, 2)"),
+            (build_propensity_net(3), (40, 3), (40, 3),
+             "training targets must be an n x 2 matrix, got shape (40, 3)"),
         ],
         ids=["input_width", "target_width", "target_width_one_batch", "classifier_target_width"],
     )

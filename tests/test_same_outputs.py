@@ -20,7 +20,7 @@ def test_a_tree_writes_the_same_outputs_as_itself():
     done = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--tiny",
                            "--seeds", "3"], capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "6 runs, 0 with a difference"
+    assert done.stdout.splitlines()[-1] == "7 runs, 0 with a difference"
 
 
 def test_every_differing_or_one_sided_output_is_named(tmp_path):

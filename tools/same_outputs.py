@@ -6,12 +6,15 @@ Every run is a fresh Python process of one tree, with that tree's `src/`
 on PYTHONPATH, OpenBLAS at one thread and no bytecode written. At each seed
 the runs are `python -m deepmatch.cli` with the first config of every
 workload in `bench/workloads.py` (at its `tiny` sizes with --tiny), a
-default `propensity` run and a default `gradcheck` run. Without --tiny each
-script in `demos/` also runs once; the demos have no tiny size. Each run
-works in a directory of its own, and a CLI run writes to `out` there, so
-stdout names the same path on both sides. Every output file, stdout, stderr
-and the exit status are compared; each one that differs is printed, and the
-exit status is 1 if any differs.
+default `propensity` run, a default `gradcheck` run and a default
+`swissroll` run in twin mode, with all four methods (at sr-default's tiny
+sizes with --tiny). Without --tiny each script in `demos/` also runs once;
+the demos have no tiny size. Each run works in a directory of its own, and a
+CLI run writes to `out` there, so stdout names the same path on both sides.
+Every output file, stdout, stderr and the exit status are compared; each one
+that differs is printed, and the exit status is 1 if any differs. Before its
+last line the tool prints each tree's line count of `src/deepmatch/*.py`,
+the total of `wc -l`.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ def runs(seeds: list[int], tiny: bool) -> list[tuple[str, list[str], dict | None
             out.append((f"{name}@{seed}", [doc["experiment"], "--config", "config.json"], doc))
         for experiment in ("propensity", "gradcheck"):
             out.append((f"{experiment}@{seed}", [experiment, "--seed", str(seed)], None))
+        # no workload's twin run fits LLE or the autoencoder
+        twin = {"version": workloads.CONFIG_VERSION, "experiment": "swissroll", "seed": seed,
+                "twin_mode": True, **(workloads.WORKLOADS["sr-default"].tiny if tiny else {})}
+        out.append((f"swissroll-twin@{seed}", ["swissroll", "--config", "config.json"], twin))
     if not tiny:
         out += [(f"demo {demo}", [f"demos/{demo}.py"], None) for demo in DEMOS]
     return out
@@ -77,6 +84,11 @@ def differences(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def source_lines(tree: Path) -> int:
+    """The line count of the tree's `src/deepmatch/*.py`, as `wc -l` totals it."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "deepmatch").glob("*.py"))
+
+
 def seed_list(text: str) -> list[int]:
     """"1001-1005" or "7" or "1,4-5" as a list of seeds."""
     seeds = []
@@ -102,6 +114,8 @@ def main(argv=None) -> int:
             for output in differences(*sides):
                 print(f"{name}: {output} differs")
             differing += bool(differences(*sides))
+    for side, tree in (("parent", args.parent), ("change", args.change)):
+        print(f"{side}: {source_lines(tree)} lines in src/deepmatch/*.py")
     print(f"{len(todo)} runs, {differing} with a difference")
     return 1 if differing else 0
 
